@@ -20,20 +20,14 @@ let make_eval evaluator cost d =
   match evaluator with
   | Exact -> fun seq -> Expected_cost.exact cost d seq
   | Monte_carlo { rng; n } ->
-      let samples = Dist.samples d rng n in
-      Array.sort compare samples;
-      fun seq -> Expected_cost.mean_cost_presampled cost ~sorted_samples:samples seq
+      Sequence.mean_cost cost (Sequence.presample (Dist.samples d rng n))
 
 let default_evaluator () = Monte_carlo { rng = Randomness.Rng.create (); n = default_n }
 
-let candidate_cost eval cost d t1 =
-  match Recurrence.generate cost d ~t1 with
-  | Error _ -> None
-  | Ok _prefix ->
-      (* The validated prefix guarantees the sanitized infinite
-         sequence coincides with the raw recurrence over all but a
-         1e-9 tail of the mass. *)
-      Some (eval (Recurrence.sequence cost d ~t1))
+let candidate score cost d t1 =
+  Result.map
+    (fun prefix -> score (Recurrence.sequence_of_prefix cost d prefix))
+    (Recurrence.generate cost d ~t1)
 
 let scan ?(m = default_m) ?evaluator cost d =
   let evaluator =
@@ -44,7 +38,7 @@ let scan ?(m = default_m) ?evaluator cost d =
   let step = (b -. a) /. float_of_int m in
   Array.init m (fun i ->
       let t1 = a +. (float_of_int (i + 1) *. step) in
-      (t1, candidate_cost eval cost d t1))
+      (t1, Result.to_option (candidate eval cost d t1)))
 
 let search ?m ?evaluator cost d =
   let results = scan ?m ?evaluator cost d in
@@ -85,4 +79,4 @@ let cost_of_t1 ?evaluator cost d t1 =
     match evaluator with Some e -> e | None -> default_evaluator ()
   in
   let eval = make_eval evaluator cost d in
-  candidate_cost eval cost d t1
+  Result.to_option (candidate eval cost d t1)

@@ -8,7 +8,12 @@
     the survivors, and returns the best. Following the paper, the
     default evaluator is the Monte-Carlo estimator over [n] common
     random samples ([m = 5000], [n = 1000] in the experiments); the
-    exact Eq. (4) series is available as a deterministic alternative. *)
+    exact Eq. (4) series is available as a deterministic alternative.
+
+    Each candidate runs Eq. (11) once ({!candidate}). The Monte-Carlo
+    evaluator sorts and sums its samples once per scan and prices a
+    candidate from per-reservation sample counts, so a scan costs
+    [O(m L log n)] for sequences of [L] reservations, not [O(m n)]. *)
 
 type evaluator =
   | Monte_carlo of { rng : Randomness.Rng.t; n : int }
@@ -55,3 +60,16 @@ val cost_of_t1 :
   float option
 (** [cost_of_t1 cost d t1] evaluates a single candidate: [None] if the
     recurrence from [t1] is invalid (Table 3 prints these as "-"). *)
+
+val candidate :
+  (Sequence.t -> float) ->
+  Cost_model.t ->
+  Distributions.Dist.t ->
+  float ->
+  (float, Recurrence.stop) Stdlib.result
+(** [candidate score cost d t1] scores one grid point with a single
+    Eq. (11) pass: {!Recurrence.generate} validates [t1], and its prefix
+    — continued lazily only if [score] forces the sequence past it, see
+    {!Recurrence.sequence_of_prefix} — is handed to [score]. [Error]
+    carries the reason the recurrence from [t1] is invalid. Exceptions
+    raised by [score] propagate. *)

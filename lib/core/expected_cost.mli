@@ -39,8 +39,10 @@ val monte_carlo :
 val mean_cost_presampled : Cost_model.t -> sorted_samples:float array -> Sequence.t -> float
 (** [mean_cost_presampled m ~sorted_samples s] is the Monte-Carlo
     average over a caller-supplied sorted sample array — used to
-    compare many candidate sequences under common random numbers, as
-    the BRUTE-FORCE grid search does. *)
+    compare sequences under common random numbers
+    ({!Sequence.mean_cost_sorted}). A caller pricing many sequences on
+    one sample set, as the BRUTE-FORCE grid search does, prepares it
+    once with {!Sequence.presample} instead. *)
 
 val normalized :
   Cost_model.t -> Distributions.Dist.t -> cost:float -> float

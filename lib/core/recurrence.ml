@@ -24,72 +24,77 @@ let stop_to_string = function
   | Too_long n ->
       Printf.sprintf "sequence did not reach coverage within %d elements" n
 
-let next m d ~t_prev2 ~t_prev1 =
+(* Eq. (11) from values already at hand: [f1 = f t_(i-1)],
+   [sf2 = 1 - F t_(i-2)], [sf1 = 1 - F t_(i-1)]. *)
+let step m ~f1 ~sf2 ~sf1 ~t_prev1 =
   let open Cost_model in
-  let f1 = d.Dist.pdf t_prev1 in
-  let sf2 = Dist.sf d t_prev2 in
-  let sf1 = Dist.sf d t_prev1 in
   (sf2 /. f1)
   +. (m.beta /. m.alpha *. ((sf1 /. f1) -. t_prev1))
   -. (m.gamma /. m.alpha)
+
+let next m d ~t_prev2 ~t_prev1 =
+  step m ~f1:(d.Dist.pdf t_prev1) ~sf2:(Dist.sf d t_prev2)
+    ~sf1:(Dist.sf d t_prev1) ~t_prev1
+
+(* Eq. (11) divides by f t_(i-1): deep in the tail the density
+   underflows to 0 before the CDF reaches the coverage target (heavy
+   tails, near-point masses), which would propagate inf/nan. *)
+let usable_density f = f > 0.0 && not (Float.is_nan f)
 
 let generate ?(coverage = 1.0 -. 1e-9) ?(max_len = 1000) m d ~t1 =
   let a = Dist.lower d and b = Dist.upper d in
   if not (Float.is_finite t1) || t1 <= a || t1 > b then
     Error (Unsupported_t1 t1)
   else begin
-    let out = ref [ t1 ] in
-    let len = ref 1 in
-    let t_prev2 = ref 0.0 and t_prev1 = ref t1 in
-    let status = ref `Running in
-    if d.Dist.cdf t1 >= coverage then status := `Done;
-    if t1 >= b then status := `Done;
-    while !status = `Running do
-      if !len >= max_len then status := `Too_long
-      else begin
-        (* Eq. (11) divides by f t_(i-1): deep in the tail the density
-           underflows to 0 before the CDF reaches the coverage target
-           (heavy tails, near-point masses), which would propagate
-           inf/nan through [next]. Detect it and stop typed instead. *)
-        let f1 = d.Dist.pdf !t_prev1 in
-        if f1 <= 0.0 || Float.is_nan f1 then
-          status := `Underflow (!t_prev1, Dist.sf d !t_prev1)
-        else begin
-          let t = next m d ~t_prev2:!t_prev2 ~t_prev1:!t_prev1 in
-          if not (Float.is_finite t) then status := `Not_finite (!t_prev1, t)
-          else if t <= !t_prev1 then status := `Not_increasing (!t_prev1, t)
-          else begin
-            let t = if t >= b then b else t in
-            out := t :: !out;
-            incr len;
-            t_prev2 := !t_prev1;
-            t_prev1 := t;
-            if t >= b || d.Dist.cdf t >= coverage then status := `Done
-          end
-        end
-      end
-    done;
-    match !status with
-    | `Done -> Ok (Array.of_list (List.rev !out))
-    | `Too_long -> Error (Too_long max_len)
-    | `Underflow (t, survival) -> Error (Density_underflow { t; survival })
-    | `Not_finite (t_prev, next) -> Error (Non_finite { t_prev; next })
-    | `Not_increasing (t_prev, next) -> Error (Non_increasing { t_prev; next })
-    | `Running -> assert false
+    let finish acc = Ok (Array.of_list (List.rev acc)) in
+    (* Each emitted point costs one pdf and one cdf call: its survival
+       is carried forward as [sf1], then [sf2]. *)
+    let rec go acc len ~sf2 ~t_prev1 ~sf1 =
+      if len >= max_len then Error (Too_long max_len)
+      else
+        let f1 = d.Dist.pdf t_prev1 in
+        if not (usable_density f1) then
+          Error (Density_underflow { t = t_prev1; survival = sf1 })
+        else
+          let t = step m ~f1 ~sf2 ~sf1 ~t_prev1 in
+          if not (Float.is_finite t) then
+            Error (Non_finite { t_prev = t_prev1; next = t })
+          else if t <= t_prev1 then
+            Error (Non_increasing { t_prev = t_prev1; next = t })
+          else if t >= b then finish (b :: acc)
+          else
+            let f = d.Dist.cdf t in
+            if f >= coverage then finish (t :: acc)
+            else
+              go (t :: acc) (len + 1) ~sf2:sf1 ~t_prev1:t
+                ~sf1:(Dist.sf_of_cdf f)
+    in
+    let f = d.Dist.cdf t1 in
+    if f >= coverage || t1 >= b then Ok [| t1 |]
+    else
+      go [ t1 ] 1 ~sf2:(Dist.sf d 0.0) ~t_prev1:t1 ~sf1:(Dist.sf_of_cdf f)
   end
 
-let sequence m d ~t1 =
-  let raw =
-    let rec step (t_prev2, t_prev1) () =
-      let t =
-        (* Same guard as [generate]: a zero density must not divide. *)
-        let f1 = d.Dist.pdf t_prev1 in
-        if f1 <= 0.0 || Float.is_nan f1 then nan
-        else next m d ~t_prev2 ~t_prev1
-      in
-      (* sanitize takes over when t is unusable. *)
-      Seq.Cons (t, step (t_prev1, t))
-    in
-    fun () -> Seq.Cons (t1, step (0.0, t1))
+(* The raw Eq. (11) values after [t_prev1], given [sf2 = 1 - F t_(i-2)]:
+   one pdf and one cdf call per value. They end where the density is
+   unusable; [Sequence.sanitize] treats that end as it treats an
+   unusable value. *)
+let rec raw_after m d ~sf2 ~t_prev1 () =
+  let f1 = d.Dist.pdf t_prev1 in
+  if not (usable_density f1) then Seq.Nil
+  else
+    let sf1 = Dist.sf d t_prev1 in
+    let t = step m ~f1 ~sf2 ~sf1 ~t_prev1 in
+    Seq.Cons (t, raw_after m d ~sf2:sf1 ~t_prev1:t)
+
+let sequence_of_prefix m d prefix =
+  let len = Array.length prefix in
+  if len = 0 then invalid_arg "Recurrence.sequence_of_prefix: empty prefix";
+  let rest () =
+    let t_prev2 = if len >= 2 then prefix.(len - 2) else 0.0 in
+    raw_after m d ~sf2:(Dist.sf d t_prev2) ~t_prev1:prefix.(len - 1) ()
   in
-  Sequence.sanitize ~support:d.Dist.support raw
+  Sequence.sanitize ~support:d.Dist.support
+    (Seq.append (Array.to_seq prefix) rest)
+
+let sequence m d ~t1 = sequence_of_prefix m d [| t1 |]

@@ -56,7 +56,8 @@ val generate :
     if the recurrence produces a non-finite or non-increasing value
     before that point, if the density underflows to zero with mass
     still uncovered, if [t1] lies outside the support, or if [max_len]
-    (default [1000]) elements do not suffice. *)
+    (default [1000]) elements do not suffice. Each element costs one
+    [pdf] and one [cdf] evaluation (plus one [cdf] at [t_0 = 0]). *)
 
 val sequence :
   Cost_model.t -> Distributions.Dist.t -> t1:float -> Sequence.t
@@ -65,4 +66,17 @@ val sequence :
     recurrence: beyond the point where the raw recurrence stops
     increasing or its density underflows — which can only happen off
     the optimal trajectory or deep in the tail — it falls back to
-    doubling (see {!Sequence.sanitize}). *)
+    doubling (see {!Sequence.sanitize}). Forcing one more element costs
+    one [pdf] and one [cdf] evaluation. *)
+
+val sequence_of_prefix :
+  Cost_model.t -> Distributions.Dist.t -> float array -> Sequence.t
+(** [sequence_of_prefix m d p], for the prefix [p] of [Ok p = generate
+    ?coverage ?max_len m d ~t1], is [sequence m d ~t1]
+    element for element without running Eq. (11) over [p] again: [p]
+    goes through the same {!Sequence.sanitize} rules (for bounded
+    support, the first value at or above [b - 1e-9 (b - a)] becomes [b]
+    and ends the sequence), and the raw recurrence is continued from the
+    last two values of [p] only if the sequence is forced past [p].
+    [p] is not copied and must not be mutated.
+    @raise Invalid_argument if [p] is empty. *)

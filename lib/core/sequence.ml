@@ -119,38 +119,75 @@ let cost_of_run ?(max_steps = 100_000) m s t =
   in
   go 1 s
 
-let mean_cost_sorted ?(max_steps = 100_000) m s samples =
-  let n = Array.length samples in
-  if n = 0 then invalid_arg "Sequence.mean_cost_sorted: empty sample";
+type presampled = { sorted : float array; sum : float }
+
+let presampled_of_sorted sorted =
+  { sorted; sum = Numerics.Kahan.sum_array sorted }
+
+let presample samples =
+  let sorted = Array.copy samples in
+  Array.sort Float.compare sorted;
+  presampled_of_sorted sorted
+
+(* First index in [lo, hi) whose sample exceeds [t], or [hi]. *)
+let upper_bound sorted t lo hi =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if sorted.(mid) <= t then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Eq. (13) regrouped by reservation: the c_k samples in (t_(k-1), t_k]
+   each pay P_(k-1) + alpha t_k + gamma plus their own beta x, so
+   sum C = sum_k c_k (P_(k-1) + alpha t_k + gamma) + beta sum x. *)
+let mean_cost ?(max_steps = 100_000) m { sorted; sum } s =
+  let n = Array.length sorted in
+  if n = 0 then invalid_arg "Sequence.mean_cost: empty sample";
   let open Cost_model in
   let acc = Numerics.Kahan.create () in
-  (* comp tracks the prefix sum of failed-reservation costs exactly. *)
-  let comp = Numerics.Kahan.create () in
-  let idx = ref 0 in
-  let steps = ref 0 in
-  let rec go s =
-    if !idx >= n then ()
-    else begin
-      incr steps;
-      if !steps > max_steps then raise (Not_covered samples.(!idx));
+  (* failed tracks P_(k-1), the prefix sum of failed-reservation costs. *)
+  let failed = Numerics.Kahan.create () in
+  let rec go k idx s =
+    if idx < n then begin
+      if k > max_steps then raise (Not_covered sorted.(idx));
       match Seq.uncons s with
-      | None -> raise (Not_covered samples.(!idx))
+      | None -> raise (Not_covered sorted.(idx))
       | Some (tk, rest) ->
-          let p = Numerics.Kahan.sum comp in
-          while !idx < n && samples.(!idx) <= tk do
-            Numerics.Kahan.add acc
-              (p +. (m.alpha *. tk) +. (m.beta *. samples.(!idx)) +. m.gamma);
-            incr idx
-          done;
-          if !idx < n then begin
-            Numerics.Kahan.add comp
+          (* The guard keeps a leading nan, which no t_k covers, out of
+             the search. *)
+          let next =
+            if sorted.(idx) <= tk then upper_bound sorted tk (idx + 1) n
+            else idx
+          in
+          if next > idx then begin
+            let c = float_of_int (next - idx) in
+            let per_sample =
+              Numerics.Kahan.sum failed +. (m.alpha *. tk) +. m.gamma
+            in
+            (* c * per_sample enters exactly, as hi + lo, so that the
+               compensated total matches summing the c equal terms one
+               by one. *)
+            let hi = c *. per_sample in
+            Numerics.Kahan.add acc hi;
+            if Float.is_finite hi then
+              Numerics.Kahan.add acc (Float.fma c per_sample (-.hi))
+          end;
+          if next < n then begin
+            Numerics.Kahan.add failed
               ((m.alpha *. tk) +. (m.beta *. tk) +. m.gamma);
-            go rest
+            go (k + 1) next rest
           end
     end
   in
-  go s;
+  go 1 0 s;
+  Numerics.Kahan.add acc (m.beta *. sum);
   Numerics.Kahan.sum acc /. float_of_int n
+
+let mean_cost_sorted ?max_steps m s samples =
+  if Array.length samples = 0 then
+    invalid_arg "Sequence.mean_cost_sorted: empty sample";
+  mean_cost ?max_steps m (presampled_of_sorted samples) s
 
 let pp_prefix n fmt s =
   let items = take (n + 1) s in

@@ -56,11 +56,32 @@ val cost_of_run : ?max_steps:int -> Cost_model.t -> t -> float -> int * float
     @raise Not_covered if the sequence ends (or [max_steps], default
     [100_000], is hit) before covering [t]. *)
 
+type presampled
+(** A Monte-Carlo sample set prepared for repeated evaluation: the
+    samples in nondecreasing order and their compensated sum. *)
+
+val presample : float array -> presampled
+(** [presample samples] sorts a copy of [samples] with [Float.compare]
+    and takes its compensated sum, once for any number of
+    {!mean_cost} calls. *)
+
+val mean_cost : ?max_steps:int -> Cost_model.t -> presampled -> t -> float
+(** [mean_cost m p s] is the Monte-Carlo average cost (Eq. (13)) of the
+    sequence over the samples of [p], computed per reservation rather
+    than per sample:
+    [(sum_k c_k (P_(k-1) + alpha t_k + gamma) + beta sum x) / N], where
+    [c_k] counts the samples in [(t_(k-1), t_k]] (a binary search on the
+    sorted samples) and [P_(k-1)] is the compensated sum of the failed
+    reservations' costs. [O(k log N)] for the [k] reservations needed to
+    cover the largest sample; the sequence is forced no further.
+    @raise Not_covered as {!cost_of_run}, carrying the smallest
+    uncovered sample.
+    @raise Invalid_argument if [p] holds no sample. *)
+
 val mean_cost_sorted : ?max_steps:int -> Cost_model.t -> t -> float array -> float
-(** [mean_cost_sorted m s samples] is the Monte-Carlo average cost
-    (Eq. (13)) of the sequence over [samples], which must be sorted in
-    nondecreasing order; computed in a single [O(|samples| + k)]
-    two-pointer pass with compensated summation.
+(** [mean_cost_sorted m s samples] is {!mean_cost} over [samples],
+    which must be sorted in nondecreasing order (the sum is taken on
+    each call).
     @raise Not_covered as {!cost_of_run}.
     @raise Invalid_argument if [samples] is empty. *)
 

@@ -44,6 +44,10 @@ val sf : t -> float -> float
     coincide for the continuous distributions used here). Clamped to
     [[0, 1]]. *)
 
+val sf_of_cdf : float -> float
+(** [sf_of_cdf f] is the clamped survival [1 - f] that {!sf} returns
+    when the CDF is [f] — for callers that already hold [F t]. *)
+
 val std : t -> float
 (** [std d] is [sqrt (variance d)]. *)
 

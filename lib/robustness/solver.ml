@@ -211,12 +211,13 @@ let vet st ~stage cost_model d seq =
   (head, cost, cost /. omniscient)
 
 (* ------------------------------------------------------------------ *)
-(* Tier 1: recurrence-driven brute force (Sect. 4.1), re-implemented
-   here rather than delegated to {!Stochastic_core.Brute_force} so the
-   scan honours the evaluation and wall-clock budgets candidate by
-   candidate and reports typed rejection statistics.                  *)
+(* Tier 1: recurrence-driven brute force (Sect. 4.1). The scan loop is
+   the solver's own, so that it honours the evaluation and wall-clock
+   budgets candidate by candidate and reports typed rejection
+   statistics; each candidate is priced by the shared
+   {!Stochastic_core.Brute_force.candidate} kernel.                    *)
 
-let run_brute_force st ~exact ~seed cost_model d =
+let run_brute_force st ~obs ~exact ~seed cost_model d =
   let stage = tier_name Brute_force in
   let a, b =
     match Stochastic_core.Bounds.search_interval cost_model d with
@@ -229,7 +230,7 @@ let run_brute_force st ~exact ~seed cost_model d =
   if not (Float.is_finite a && Float.is_finite b && b > a) then
     fail_non_convergent (stage ^ "/bounds")
       (Printf.sprintf "degenerate search interval (%g, %g]" a b);
-  let eval =
+  let score =
     if exact then fun seq ->
       Stochastic_core.Expected_cost.exact cost_model d seq
     else begin
@@ -246,22 +247,35 @@ let run_brute_force st ~exact ~seed cost_model d =
             fail_non_convergent (stage ^ "/sampling")
               (Printf.sprintf "sampler produced %g" x))
         samples;
-      Array.sort compare samples;
-      fun seq ->
-        Stochastic_core.Expected_cost.mean_cost_presampled cost_model
-          ~sorted_samples:samples seq
+      Core_seq.mean_cost cost_model (Core_seq.presample samples)
     end
   in
+  (* A raising or non-finite score is an evaluation failure; an
+     exception from the recurrence itself still rejects the tier. *)
+  let score seq = match score seq with c -> c | exception _ -> nan in
   let m = st.budget.bf_candidates in
   let step = (b -. a) /. float_of_int m in
   let best_t1 = ref nan and best_cost = ref infinity in
-  let valid = ref 0 in
+  let scanned = ref 0 and valid = ref 0 in
   let underflow = ref 0
   and non_increasing = ref 0
   and non_finite = ref 0
   and too_long = ref 0
   and eval_failed = ref 0 in
+  let tallies () =
+    Trace.annotate obs
+      [
+        ("candidates", Trace.Int !scanned);
+        ("valid", Trace.Int !valid);
+        ("density_underflow", Trace.Int !underflow);
+        ("non_increasing", Trace.Int !non_increasing);
+        ("non_finite", Trace.Int !non_finite);
+        ("too_long", Trace.Int !too_long);
+        ("eval_failed", Trace.Int !eval_failed);
+      ]
+  in
   (try
+     Fun.protect ~finally:tallies @@ fun () ->
      for i = 1 to m do
        if over_deadline st Brute_force then begin
          if Float.is_nan !best_t1 then
@@ -278,8 +292,9 @@ let run_brute_force st ~exact ~seed cost_model d =
          else raise Exit
        end;
        spend st ~stage 1;
+       incr scanned;
        let t1 = a +. (float_of_int i *. step) in
-       match Stochastic_core.Recurrence.generate cost_model d ~t1 with
+       match Stochastic_core.Brute_force.candidate score cost_model d t1 with
        | Error (Stochastic_core.Recurrence.Density_underflow _) ->
            incr underflow
        | Error (Stochastic_core.Recurrence.Non_increasing _) ->
@@ -287,17 +302,13 @@ let run_brute_force st ~exact ~seed cost_model d =
        | Error (Stochastic_core.Recurrence.Non_finite _) -> incr non_finite
        | Error (Stochastic_core.Recurrence.Too_long _) -> incr too_long
        | Error (Stochastic_core.Recurrence.Unsupported_t1 _) -> incr eval_failed
-       | Ok _ -> (
-           let seq = Stochastic_core.Recurrence.sequence cost_model d ~t1 in
-           match eval seq with
-           | c when Float.is_finite c ->
-               incr valid;
-               if c < !best_cost then begin
-                 best_cost := c;
-                 best_t1 := t1
-               end
-           | _ -> incr eval_failed
-           | exception _ -> incr eval_failed)
+       | Ok c when Float.is_finite c ->
+           incr valid;
+           if c < !best_cost then begin
+             best_cost := c;
+             best_t1 := t1
+           end
+       | Ok _ -> incr eval_failed
      done
    with Exit -> ());
   if Float.is_nan !best_t1 then
@@ -349,8 +360,8 @@ let run_mean_doubling st cost_model d =
       (Printf.sprintf "mean %g is not finite and positive" d.Dist.mean);
   Stochastic_core.Heuristics.mean_doubling d
 
-let run_tier st ~exact ~seed cost_model d = function
-  | Brute_force -> run_brute_force st ~exact ~seed cost_model d
+let run_tier st ~obs ~exact ~seed cost_model d = function
+  | Brute_force -> run_brute_force st ~obs ~exact ~seed cost_model d
   | Dp_equal_probability -> run_dp st cost_model d
   | Mean_doubling -> run_mean_doubling st cost_model d
 
@@ -411,7 +422,7 @@ let attempt_tier st ~obs ~exact ~seed cost_model d tier =
         Error reason
       in
       match
-        let seq = run_tier st ~exact ~seed cost_model d tier in
+        let seq = run_tier st ~obs ~exact ~seed cost_model d tier in
         let head, cost, normalized =
           vet st ~stage:(tier_name tier) cost_model d seq
         in

@@ -536,6 +536,61 @@ let test_solver_trace_fallback () =
   Alcotest.(check string) "root records the fallback tier"
     "equal-probability-dp" (attr_str "chosen" (solve_span lines))
 
+let tally_names =
+  [ "valid"; "density_underflow"; "non_increasing"; "non_finite"; "too_long";
+    "eval_failed" ]
+
+let bf_tallies lines =
+  let span =
+    List.find
+      (fun j ->
+        str_field "name" j = "robust.solver.tier"
+        && attr_str "tier" j = "recurrence-brute-force")
+      lines
+  in
+  let int_attr name =
+    match Option.bind (attr name span) J.to_int with
+    | Some n -> n
+    | None -> Alcotest.failf "missing integer attribute %S" name
+  in
+  (int_attr "candidates", List.map (fun n -> (n, int_attr n)) tally_names)
+
+let test_solver_trace_bf_tallies () =
+  (* The brute-force tier span carries its candidate tallies whether
+     it is accepted or rejected; the outcome classes partition the
+     scanned candidates. *)
+  let check lines ~outcome =
+    let candidates, tallies = bf_tallies lines in
+    Alcotest.(check int) "every quick-budget candidate scanned"
+      quick.Robust.Solver.bf_candidates candidates;
+    Alcotest.(check int) "tallies partition the candidates" candidates
+      (List.fold_left (fun acc (_, n) -> acc + n) 0 tallies);
+    Alcotest.(check string) "tier outcome" outcome
+      (snd (List.hd (tier_outcomes lines)));
+    tallies
+  in
+  let _, text = solve_with_trace Distributions.Lognormal.default in
+  let tallies = check (parse_lines text) ~outcome:"accepted" in
+  Alcotest.(check bool) "valid candidates" true (List.assoc "valid" tallies > 0);
+  (* Exp(1) with its density underflowed to 0 everywhere: Eq. (11)
+     cannot take a single step from any candidate. *)
+  let d =
+    { Distributions.Exponential.default with Distributions.Dist.pdf = (fun _ -> 0.0) }
+  in
+  let buf = Buffer.create 4096 in
+  let obs = Trace.make ~clock:(Clock.fake ()) (Writer.to_buffer buf) in
+  (match
+     Robust.Solver.solve ~obs ~budget:quick ~validate:false
+       ~tiers:Robust.Solver.[ Brute_force; Mean_doubling ]
+       cost d
+   with
+  | Error e -> Alcotest.failf "solve failed: %s" (Robust.Solver.error_to_string e)
+  | Ok _ -> ());
+  let tallies = check (parse_lines (Buffer.contents buf)) ~outcome:"rejected" in
+  Alcotest.(check int) "no valid candidate" 0 (List.assoc "valid" tallies);
+  Alcotest.(check bool) "density underflow counted" true
+    (List.assoc "density_underflow" tallies > 0)
+
 let test_solver_trace_deterministic () =
   let _, a = solve_with_trace Distributions.Lognormal.default in
   let _, b = solve_with_trace Distributions.Lognormal.default in
@@ -580,6 +635,8 @@ let () =
         [
           Alcotest.test_case "primary tier span" `Quick test_solver_trace_primary;
           Alcotest.test_case "fallback tier spans" `Quick test_solver_trace_fallback;
+          Alcotest.test_case "solver trace brute-force tallies" `Quick
+            test_solver_trace_bf_tallies;
           Alcotest.test_case "trace determinism" `Quick test_solver_trace_deterministic;
         ] );
     ]

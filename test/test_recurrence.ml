@@ -133,6 +133,115 @@ let test_sequence_matches_generate_prefix () =
         (fun i v -> rel_close (Printf.sprintf "element %d" i) ts.(i) v)
         s
 
+(* The recurrence as it was before survivals were carried forward:
+   [R.next] evaluates f t_(i-1), sf t_(i-2) and sf t_(i-1) afresh on
+   every step. [generate] and [sequence] must reproduce it bit for bit. *)
+let reference_generate ?(coverage = 1.0 -. 1e-9) ?(max_len = 1000) m d ~t1 =
+  let a = Dist.lower d and b = Dist.upper d in
+  if not (Float.is_finite t1) || t1 <= a || t1 > b then
+    Error (R.Unsupported_t1 t1)
+  else
+    let rec go acc len t_prev2 t_prev1 =
+      if len >= max_len then Error (R.Too_long max_len)
+      else
+        let f1 = d.Dist.pdf t_prev1 in
+        if f1 <= 0.0 || Float.is_nan f1 then
+          Error (R.Density_underflow { t = t_prev1; survival = Dist.sf d t_prev1 })
+        else
+          let t = R.next m d ~t_prev2 ~t_prev1 in
+          if not (Float.is_finite t) then Error (R.Non_finite { t_prev = t_prev1; next = t })
+          else if t <= t_prev1 then
+            Error (R.Non_increasing { t_prev = t_prev1; next = t })
+          else
+            let t = if t >= b then b else t in
+            if t >= b || d.Dist.cdf t >= coverage then
+              Ok (Array.of_list (List.rev (t :: acc)))
+            else go (t :: acc) (len + 1) t_prev1 t
+    in
+    if d.Dist.cdf t1 >= coverage || t1 >= b then Ok [| t1 |]
+    else go [ t1 ] 1 0.0 t1
+
+let reference_sequence m d ~t1 =
+  let rec step t_prev2 t_prev1 () =
+    let f1 = d.Dist.pdf t_prev1 in
+    let t =
+      if f1 <= 0.0 || Float.is_nan f1 then nan else R.next m d ~t_prev2 ~t_prev1
+    in
+    Seq.Cons (t, step t_prev1 t)
+  in
+  S.sanitize ~support:d.Dist.support (fun () -> Seq.Cons (t1, step 0.0 t1))
+
+let show_result = function
+  | Ok ts ->
+      "Ok " ^ String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") ts))
+  | Error (R.Unsupported_t1 t) -> Printf.sprintf "Unsupported %h" t
+  | Error (R.Density_underflow { t; survival }) ->
+      Printf.sprintf "Underflow %h %h" t survival
+  | Error (R.Non_finite { t_prev; next }) ->
+      Printf.sprintf "Non_finite %h %h" t_prev next
+  | Error (R.Non_increasing { t_prev; next }) ->
+      Printf.sprintf "Non_increasing %h %h" t_prev next
+  | Error (R.Too_long n) -> Printf.sprintf "Too_long %d" n
+
+(* A law whose pdf and cdf count their calls. *)
+let counting d =
+  let pdf_calls = ref 0 and cdf_calls = ref 0 in
+  ( {
+      d with
+      Dist.pdf =
+        (fun t ->
+          incr pdf_calls;
+          d.Dist.pdf t);
+      cdf =
+        (fun t ->
+          incr cdf_calls;
+          d.Dist.cdf t);
+    },
+    pdf_calls,
+    cdf_calls )
+
+let test_one_evaluation_per_point () =
+  let valid = ref 0 in
+  List.iter
+    (fun (law, d) ->
+      List.iter
+        (fun (model, m) ->
+          let a, b = Stochastic_core.Bounds.search_interval m d in
+          for i = 1 to 100 do
+            let t1 = a +. (float_of_int i *. (b -. a) /. 100.0) in
+            let label = Printf.sprintf "%s/%s/t1=%h" law model t1 in
+            let d, pdf_calls, cdf_calls = counting d in
+            let got = R.generate m d ~t1 in
+            (match got with
+            | Ok ts ->
+                incr valid;
+                let n = Array.length ts in
+                (* One pdf per point a step starts from, one cdf per
+                   point plus one at t_0 = 0. *)
+                if !pdf_calls > n || !cdf_calls > n + 1 then
+                  Alcotest.failf "%s: %d points, %d pdf / %d cdf calls" label n
+                    !pdf_calls !cdf_calls
+            | Error _ -> ());
+            let want = reference_generate m d ~t1 in
+            Alcotest.(check string) (label ^ ": generate bit-identical")
+              (show_result want) (show_result got);
+            let k = 12 in
+            pdf_calls := 0;
+            cdf_calls := 0;
+            let got = S.take k (R.sequence m d ~t1) in
+            let n = List.length got in
+            if !pdf_calls > n || !cdf_calls > n + 1 then
+              Alcotest.failf "%s: sequence took %d points, %d pdf / %d cdf calls"
+                label n !pdf_calls !cdf_calls;
+            let show l = String.concat "," (List.map (Printf.sprintf "%h") l) in
+            Alcotest.(check string) (label ^ ": sequence bit-identical")
+              (show (S.take k (reference_sequence m d ~t1)))
+              (show got)
+          done)
+        [ ("RESERVATIONONLY", C.reservation_only); ("NEUROHPC", C.neuro_hpc) ])
+    Distributions.Table1.all;
+  Alcotest.(check bool) "valid candidates exercised" true (!valid > 300)
+
 let prop_first_element_is_t1 =
   QCheck.Test.make ~count:200 ~name:"sequence starts at t1"
     QCheck.(float_range 0.1 3.0)
@@ -175,6 +284,8 @@ let () =
           Alcotest.test_case "sequence sanitized" `Quick test_sequence_sanitized;
           Alcotest.test_case "sequence matches generate" `Quick
             test_sequence_matches_generate_prefix;
+          Alcotest.test_case "one pdf/cdf evaluation per point" `Quick
+            test_one_evaluation_per_point;
         ] );
       ( "property",
         [
