@@ -636,6 +636,9 @@ let perf_tests () =
     Test.make ~name:"dp/solve-1000"
       (let disc = Discretize.run Discretize.Equal_time ~n:1000 lognormal in
        Staged.stage (fun () -> ignore (Dp.solve cost disc)));
+    Test.make ~name:"dp/solve-10000"
+      (let disc = Discretize.run Discretize.Equal_probability ~n:10_000 lognormal in
+       Staged.stage (fun () -> ignore (Dp.solve cost disc)));
     Test.make ~name:"brute-force/exp-m500-exact"
       (Staged.stage (fun () ->
            ignore

@@ -17,8 +17,12 @@ val make : (float * float) array -> t
 (** [make pairs] builds a discrete distribution from (value,
     probability) pairs: sorts by value, merges duplicate values by
     adding their probabilities, and drops pairs with zero probability.
-    @raise Invalid_argument if no pair remains, if any probability is
-    negative, or if the total mass exceeds [1 + 1e-9]. *)
+    Input already strictly increasing in value is taken as is, without
+    a sort; otherwise duplicates are merged in ascending order of
+    probability, so any permutation of [pairs] gives the same record.
+    @raise Invalid_argument if a value or probability is not finite
+    (NaN or infinite), if any probability is negative, if no pair
+    remains, or if the total mass exceeds [1 + 1e-9]. *)
 
 val size : t -> int
 (** [size d] is the number of support points. *)

@@ -321,8 +321,10 @@ let run_brute_force st ~obs ~exact ~seed cost_model d =
   else Stochastic_core.Recurrence.sequence cost_model d ~t1:!best_t1
 
 (* Tier 2: Theorem 5 DP on the equal-probability discretization
-   (Sect. 4.2) — needs no density and no Theorem 2 moment bounds. *)
-let run_dp st cost_model d =
+   (Sect. 4.2) — needs no density and no Theorem 2 moment bounds. The
+   tier span records the support size after duplicates merge and the
+   number of reservations the DP chose. *)
+let run_dp st ~obs cost_model d =
   let stage = tier_name Dp_equal_probability in
   if over_deadline st Dp_equal_probability then
     (* stochlint: allow EXN_IN_CORE — Tier_fail is internal control flow; run_tier catches it and returns a typed Error *)
@@ -340,7 +342,15 @@ let run_dp st cost_model d =
     | exception exn ->
         fail_non_convergent (stage ^ "/discretize") (Printexc.to_string exn)
   in
-  match Stochastic_core.Dp.sequence_for cost_model d discrete with
+  Trace.annotate obs
+    [ ("support_points", Trace.Int (Distributions.Discrete.size discrete)) ];
+  match
+    let sol = Stochastic_core.Dp.solve cost_model discrete in
+    let reservations = sol.Stochastic_core.Dp.reservations in
+    Trace.annotate obs
+      [ ("reservations", Trace.Int (Array.length reservations)) ];
+    Core_seq.sanitize ~support:d.Dist.support (Array.to_seq reservations)
+  with
   | seq -> seq
   | exception exn -> fail_non_convergent stage (Printexc.to_string exn)
 
@@ -362,7 +372,7 @@ let run_mean_doubling st cost_model d =
 
 let run_tier st ~obs ~exact ~seed cost_model d = function
   | Brute_force -> run_brute_force st ~obs ~exact ~seed cost_model d
-  | Dp_equal_probability -> run_dp st cost_model d
+  | Dp_equal_probability -> run_dp st ~obs cost_model d
   | Mean_doubling -> run_mean_doubling st cost_model d
 
 (* ------------------------------------------------------------------ *)

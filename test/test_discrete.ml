@@ -30,6 +30,68 @@ let test_make_errors () =
     (try ignore (D.make [| (1.0, 0.6); (2.0, 0.6) |]); false
      with Invalid_argument _ -> true)
 
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let test_make_rejects_non_finite () =
+  List.iter
+    (fun (name, pairs) ->
+      Alcotest.(check bool) name true (raises_invalid (fun () -> D.make pairs)))
+    [
+      ("NaN value", [| (1.0, 0.5); (Float.nan, 0.5) |]);
+      ("+inf value", [| (1.0, 0.5); (Float.infinity, 0.5) |]);
+      ("-inf value", [| (Float.neg_infinity, 0.5); (1.0, 0.5) |]);
+      (* A NaN probability used to be dropped silently: neither
+         [p < 0] nor [p > 0] holds. *)
+      ("NaN probability", [| (1.0, 0.5); (2.0, Float.nan) |]);
+      ("+inf probability", [| (1.0, Float.infinity) |]);
+      ("-inf probability", [| (1.0, 0.5); (2.0, Float.neg_infinity) |]);
+      ("non-finite value at zero probability", [| (1.0, 1.0); (Float.nan, 0.0) |]);
+    ]
+
+let test_make_order_independent () =
+  (* The presorted fast path and the sorting path build the same
+     record, bit for bit — duplicates included, which merge in one
+     canonical order whatever the input order. *)
+  let bits = Array.map Int64.bits_of_float in
+  let same name (a : D.t) (b : D.t) =
+    Alcotest.(check (array int64)) (name ^ " values") (bits a.D.values) (bits b.D.values);
+    Alcotest.(check (array int64)) (name ^ " probs") (bits a.D.probs) (bits b.D.probs)
+  in
+  let rng = Randomness.Rng.create ~seed:4242 () in
+  let shuffle a =
+    let a = Array.copy a in
+    for i = Array.length a - 1 downto 1 do
+      let j = Randomness.Rng.int rng (i + 1) in
+      let t = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- t
+    done;
+    a
+  in
+  let distinct = Array.init 200 (fun i -> (0.5 +. float_of_int i, 1.0 /. 300.0)) in
+  let reference = D.make distinct in
+  for _ = 1 to 10 do
+    same "distinct" reference (D.make (shuffle distinct))
+  done;
+  (* 0.3 +. 0.2 +. 0.1 <> 0.1 +. 0.2 +. 0.3: the merged mass depends
+     on the addition order. *)
+  let dups =
+    [| (1.0, 0.1); (2.0, 0.3); (2.0, 0.2); (2.0, 0.1); (3.0, 0.2); (2.0, 0.0) |]
+  in
+  let reference = D.make dups in
+  Alcotest.(check int) "merged size" 3 (D.size reference);
+  for _ = 1 to 20 do
+    same "duplicates" reference (D.make (shuffle dups))
+  done;
+  let sorted = Array.copy dups in
+  Array.sort compare sorted;
+  same "presorted duplicates" reference (D.make sorted);
+  (* Sorted by value alone, duplicates in another order: not strictly
+     increasing, so still sorted. *)
+  Array.sort (fun (v1, p1) (v2, p2) -> compare (v1, -.p1) (v2, -.p2)) sorted;
+  same "value-sorted duplicates" reference (D.make sorted)
+
 let test_total_mass_and_normalize () =
   let d = D.make [| (1.0, 0.3); (2.0, 0.3) |] in
   close "partial mass" 0.6 (D.total_mass d);
@@ -119,6 +181,10 @@ let () =
           Alcotest.test_case "cdf/quantile" `Quick test_cdf_quantile;
           Alcotest.test_case "sampling" `Quick test_sample_distribution;
           Alcotest.test_case "of_samples" `Quick test_of_samples;
+          Alcotest.test_case "rejects non-finite" `Quick
+            test_make_rejects_non_finite;
+          Alcotest.test_case "order independent" `Quick
+            test_make_order_independent;
           Alcotest.test_case "to_dist" `Quick test_to_dist;
         ] );
       ( "property",

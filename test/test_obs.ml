@@ -540,6 +540,11 @@ let tally_names =
   [ "valid"; "density_underflow"; "non_increasing"; "non_finite"; "too_long";
     "eval_failed" ]
 
+let int_attr name span =
+  match Option.bind (attr name span) J.to_int with
+  | Some n -> n
+  | None -> Alcotest.failf "missing integer attribute %S" name
+
 let bf_tallies lines =
   let span =
     List.find
@@ -548,12 +553,8 @@ let bf_tallies lines =
         && attr_str "tier" j = "recurrence-brute-force")
       lines
   in
-  let int_attr name =
-    match Option.bind (attr name span) J.to_int with
-    | Some n -> n
-    | None -> Alcotest.failf "missing integer attribute %S" name
-  in
-  (int_attr "candidates", List.map (fun n -> (n, int_attr n)) tally_names)
+  ( int_attr "candidates" span,
+    List.map (fun n -> (n, int_attr n span)) tally_names )
 
 let test_solver_trace_bf_tallies () =
   (* The brute-force tier span carries its candidate tallies whether
@@ -590,6 +591,52 @@ let test_solver_trace_bf_tallies () =
   Alcotest.(check int) "no valid candidate" 0 (List.assoc "valid" tallies);
   Alcotest.(check bool) "density underflow counted" true
     (List.assoc "density_underflow" tallies > 0)
+
+let test_solver_trace_dp_tallies () =
+  (* The DP tier span carries the support size after duplicates merge
+     and the number of reservations the DP chose. *)
+  let dp_span d =
+    let buf = Buffer.create 4096 in
+    let obs = Trace.make ~clock:(Clock.fake ()) (Writer.to_buffer buf) in
+    (match
+       Robust.Solver.solve ~obs ~budget:quick ~validate:false
+         ~tiers:Robust.Solver.[ Dp_equal_probability ]
+         cost d
+     with
+    | Error e -> Alcotest.failf "solve failed: %s" (Robust.Solver.error_to_string e)
+    | Ok _ -> ());
+    let span =
+      List.find
+        (fun j -> str_field "name" j = "robust.solver.tier")
+        (parse_lines (Buffer.contents buf))
+    in
+    (int_attr "support_points" span, int_attr "reservations" span)
+  in
+  let expected d =
+    let disc =
+      Stochastic_core.Discretize.run ~eps:1e-7
+        Stochastic_core.Discretize.Equal_probability
+        ~n:quick.Robust.Solver.dp_points d
+    in
+    ( Distributions.Discrete.size disc,
+      Array.length (Stochastic_core.Dp.solve cost disc).Stochastic_core.Dp.reservations )
+  in
+  let lognormal = Distributions.Lognormal.default in
+  let support, reservations = dp_span lognormal in
+  Alcotest.(check int) "one support point per quantile"
+    quick.Robust.Solver.dp_points support;
+  Alcotest.(check (pair int int)) "lognormal tallies" (expected lognormal)
+    (support, reservations);
+  (* A three-point law: the 200 equal-probability quantiles merge
+     into its three support points. *)
+  let three =
+    Distributions.Discrete.to_dist
+      (Distributions.Discrete.make [| (1.0, 0.5); (2.0, 0.25); (4.0, 0.25) |])
+  in
+  let support, reservations = dp_span three in
+  Alcotest.(check int) "duplicates merged" 3 support;
+  Alcotest.(check (pair int int)) "three-point tallies" (expected three)
+    (support, reservations)
 
 let test_solver_trace_deterministic () =
   let _, a = solve_with_trace Distributions.Lognormal.default in
@@ -637,6 +684,8 @@ let () =
           Alcotest.test_case "fallback tier spans" `Quick test_solver_trace_fallback;
           Alcotest.test_case "solver trace brute-force tallies" `Quick
             test_solver_trace_bf_tallies;
+          Alcotest.test_case "solver trace DP tallies" `Quick
+            test_solver_trace_dp_tallies;
           Alcotest.test_case "trace determinism" `Quick test_solver_trace_deterministic;
         ] );
     ]
