@@ -22,117 +22,28 @@ let report_sanity checks =
       (fun (label, _) -> Printf.printf "[sanity] FAILED: %s\n" label)
       failed
 
-let run_table2 cfg =
-  section "Table 2: normalized expected costs (ReservationOnly)";
-  let t = Experiments.Table2.run ~cfg () in
-  print_string (Experiments.Table2.to_string t);
-  report_sanity (Experiments.Table2.sanity t);
+(* The shape every paper artefact shares: a titled section, the
+   experiment's table, then its qualitative checks. Returns the result
+   for artefacts that feed another (Table 4 reuses Table 2). *)
+let show title run to_string sanity =
+  section title;
+  let t = run () in
+  print_string (to_string t);
+  report_sanity (sanity t);
   t
 
-let run_table3 cfg =
-  section "Table 3: best t1 vs quantile guesses (ReservationOnly)";
-  let t = Experiments.Table3.run ~cfg () in
-  print_string (Experiments.Table3.to_string t);
-  report_sanity (Experiments.Table3.sanity t)
-
-let run_table4 cfg t2 =
-  section "Table 4: discretization convergence (ReservationOnly)";
-  let t = Experiments.Table4.run ~cfg () in
-  print_string (Experiments.Table4.to_string t);
-  let brute_force name =
-    let row =
-      List.find
-        (fun r -> r.Experiments.Table2.dist_name = name)
-        t2.Experiments.Table2.rows
-    in
-    row.Experiments.Table2.values.(0)
-  in
-  report_sanity (Experiments.Table4.sanity t ~brute_force)
-
-let run_fig1 cfg =
-  section "Figure 1: neuroscience traces and LogNormal fits";
-  let t = Experiments.Fig1.run ~cfg () in
-  print_string (Experiments.Fig1.to_string t);
-  report_sanity (Experiments.Fig1.sanity t)
-
-let run_fig2 cfg =
-  section "Figure 2: HPC queue wait times and affine fit";
-  let t = Experiments.Fig2.run ~cfg () in
-  print_string (Experiments.Fig2.to_string t);
-  report_sanity (Experiments.Fig2.sanity t)
-
-let run_fig3 cfg =
-  section "Figure 3: normalized cost vs t1 (gaps = invalid sequences)";
-  let t = Experiments.Fig3.run ~cfg () in
-  print_string (Experiments.Fig3.to_string t);
-  report_sanity (Experiments.Fig3.sanity t)
-
-let run_fig4 cfg =
-  section "Figure 4: NeuroHPC scenario sweep";
-  let t = Experiments.Fig4.run ~cfg () in
-  print_string (Experiments.Fig4.to_string t);
-  report_sanity (Experiments.Fig4.sanity t)
-
-let run_s1 cfg =
-  section "Section 3.5: optimal first reservation for Exp(1)";
-  let t = Experiments.Exp_s1.run ~cfg () in
-  print_string (Experiments.Exp_s1.to_string t);
-  report_sanity (Experiments.Exp_s1.sanity t)
-
-let run_table2x cfg =
-  section
-    "Extended Table 2: paper strategies + quantile ladders on the extended \
-     distributions";
-  let t = Experiments.Table2x.run ~cfg () in
-  print_string (Experiments.Table2x.to_string t);
-  report_sanity (Experiments.Table2x.sanity t)
-
-let run_ablation_bf cfg =
-  section "Ablation: brute-force resolution (M, N) and MC selection optimism";
-  let t = Experiments.Ablation_bf.run ~cfg () in
-  print_string (Experiments.Ablation_bf.to_string t);
-  report_sanity (Experiments.Ablation_bf.sanity t)
-
-let run_ablation_eps cfg =
-  section "Ablation: truncation quantile eps for the discretization schemes";
-  let t = Experiments.Ablation_eps.run ~cfg () in
-  print_string (Experiments.Ablation_eps.to_string t);
-  report_sanity (Experiments.Ablation_eps.sanity t)
-
-let run_robustness cfg =
-  section "Ablation: robustness to model misspecification (fit from k runs)";
-  let t = Experiments.Robustness.run ~cfg () in
-  print_string (Experiments.Robustness.to_string t);
-  report_sanity (Experiments.Robustness.sanity t)
-
-let run_cluster cfg ~quick =
-  section
-    "Cluster scheduler: strategies under contention, wait-time loop closed";
-  let jobs = if quick then 500 else 1500 in
-  let t = Experiments.Cluster_contention.run ~cfg ~jobs () in
-  print_string (Experiments.Cluster_contention.to_string t);
-  report_sanity (Experiments.Cluster_contention.sanity t)
-
-let run_faults cfg ~quick =
-  section
-    "Fault tolerance: failure rate x {restart, checkpoint} x strategy";
-  let jobs = if quick then 120 else 240 in
-  let t = Experiments.Fault_tolerance.run ~cfg ~jobs () in
-  print_string (Experiments.Fault_tolerance.to_string t);
-  report_sanity (Experiments.Fault_tolerance.sanity t)
-
-let run_robust_solve cfg =
-  section
-    "Robust solver cascade: tier counts and validation overhead (Table 1)";
-  let t = Experiments.Robust_solve.run ~cfg () in
-  print_string (Experiments.Robust_solve.to_string t);
-  report_sanity (Experiments.Robust_solve.sanity t)
-
-let run_trace_vs_fit cfg =
-  section "Ablation: interpolating traces vs fitting a LogNormal (NeuroHPC)";
-  let t = Experiments.Trace_vs_fit.run ~cfg () in
-  print_string (Experiments.Trace_vs_fit.to_string t);
-  report_sanity (Experiments.Trace_vs_fit.sanity t)
+(* "--out FILE": write the artefact's JSON, newline-terminated. *)
+let write_artefact out json =
+  match out with
+  | None -> ()
+  | Some path ->
+      let oc = open_out path in
+      Fun.protect
+        ~finally:(fun () -> close_out oc)
+        (fun () ->
+          output_string oc (Stochobs.Json.to_string json);
+          output_char oc '\n');
+      Printf.printf "wrote %s\n" path
 
 (* ------------------------------------------------------------------ *)
 (* Observability overhead: the same solve workload with the tracing    *)
@@ -207,16 +118,7 @@ let run_obs ~out =
     wall_noop wall_on reps (100.0 *. overhead)
     (Stochobs.Trace.spans_written sink)
     (Buffer.length buf);
-  match out with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (Stochobs.Json.to_string json);
-          output_char oc '\n');
-      Printf.printf "wrote %s\n" path
+  write_artefact out json
 
 (* ------------------------------------------------------------------ *)
 (* Strategy-as-a-service daemon: N tenants with near-identical         *)
@@ -235,6 +137,25 @@ let percentile sorted p =
     let idx = int_of_float (Float.round (p *. float_of_int (n - 1))) in
     sorted.(max 0 (min (n - 1) idx))
 
+let sorted_array l =
+  let a = Array.of_list l in
+  Array.sort compare a;
+  a
+
+(* One request line against [server], timed; returns
+   (latency, cached, ok). *)
+let timed_request server line =
+  let module J = Stochobs.Json in
+  let t0 = Unix.gettimeofday () in
+  let resp, _stop = Stochserve.Server.handle_line server line in
+  let dt = Unix.gettimeofday () -. t0 in
+  let flag j name =
+    match J.member name j with Some (J.Bool b) -> b | _ -> false
+  in
+  match Option.map J.of_string resp with
+  | Some (Ok j) -> (dt, flag j "cached", flag j "ok")
+  | None | Some (Error _) -> (dt, false, false)
+
 let run_serve ~quick ~out =
   section "Serve daemon: tenant fleet with near-identical LogNormal fits";
   let module J = Stochobs.Json in
@@ -251,25 +172,6 @@ let run_serve ~quick ~out =
   let server = Stochserve.Server.create config in
   let rng = Randomness.Rng.create ~seed:2024 () in
   let num v = J.Num v in
-  (* One request line, timed; returns (latency, cached, ok). *)
-  let timed line =
-    let t0 = Unix.gettimeofday () in
-    let resp, _stop = Stochserve.Server.handle_line server line in
-    let dt = Unix.gettimeofday () -. t0 in
-    match resp with
-    | None -> (dt, false, false)
-    | Some r -> (
-        match J.of_string r with
-        | Error _ -> (dt, false, false)
-        | Ok j ->
-            let cached =
-              match J.member "cached" j with Some (J.Bool b) -> b | _ -> false
-            in
-            let ok =
-              match J.member "ok" j with Some (J.Bool b) -> b | _ -> false
-            in
-            (dt, cached, ok))
-  in
   (* Fit every tenant from its own jittered VBMQA-like trace: the
      fitted (mu, sigma) differ in the third decimal, well inside one
      0.1-grid bucket. *)
@@ -291,7 +193,7 @@ let run_serve ~quick ~out =
                J.Arr (Array.to_list samples |> List.map (fun s -> num s)) );
            ])
     in
-    let _, _, ok = timed line in
+    let _, _, ok = timed_request server line in
     if not ok then incr fit_failures
   done;
   (* Interleaved solve rounds over the whole fleet: round-major order,
@@ -312,7 +214,7 @@ let run_serve ~quick ~out =
                ("strategy", J.Str "cascade");
              ])
       in
-      let dt, was_cached, ok = timed line in
+      let dt, was_cached, ok = timed_request server line in
       if not ok then incr solve_failures
       else if was_cached then cached := dt :: !cached
       else cold := dt :: !cold
@@ -325,12 +227,7 @@ let run_serve ~quick ~out =
         match J.member "hit_rate" c with Some (J.Num v) -> v | _ -> 0.0)
     | None -> 0.0
   in
-  let sorted l =
-    let a = Array.of_list l in
-    Array.sort compare a;
-    a
-  in
-  let cold_a = sorted !cold and cached_a = sorted !cached in
+  let cold_a = sorted_array !cold and cached_a = sorted_array !cached in
   let cold_p50 = percentile cold_a 0.5 in
   let cached_p50 = percentile cached_a 0.5 in
   let cached_p99 = percentile cached_a 0.99 in
@@ -366,16 +263,7 @@ let run_serve ~quick ~out =
         ("cached_p99_seconds", num cached_p99);
       ]
   in
-  match out with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (J.to_string json);
-          output_char oc '\n');
-      Printf.printf "wrote %s\n" path
+  write_artefact out json
 
 (* ------------------------------------------------------------------ *)
 (* Restart benchmark: solve a batch with --persist semantics, abandon  *)
@@ -417,23 +305,6 @@ let run_restart ~quick ~out =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      let timed server line =
-        let t0 = Unix.gettimeofday () in
-        let resp, _ = Stochserve.Server.handle_line server line in
-        let dt = Unix.gettimeofday () -. t0 in
-        match resp with
-        | None -> (dt, false, false)
-        | Some r -> (
-            match J.of_string r with
-            | Error _ -> (dt, false, false)
-            | Ok j ->
-                let flag name =
-                  match J.member name j with
-                  | Some (J.Bool b) -> b
-                  | _ -> false
-                in
-                (dt, flag "cached", flag "ok"))
-      in
       (* Cold run: every cold solve is journalled; the server is then
          abandoned without close, as an unclean death would leave it
          (appends flush record by record). Nearby parameters can share
@@ -445,7 +316,7 @@ let run_restart ~quick ~out =
         let times, failures =
           List.fold_left
             (fun (times, failures) line ->
-              let dt, _, ok = timed server line in
+              let dt, _, ok = timed_request server line in
               ((dt :: times), if ok then failures else failures + 1))
             ([], 0) lines
         in
@@ -463,20 +334,15 @@ let run_restart ~quick ~out =
       let warm_times, warm_hits, warm_failures =
         List.fold_left
           (fun (times, hits, failures) line ->
-            let dt, cached, ok = timed server line in
+            let dt, cached, ok = timed_request server line in
             ( dt :: times,
               (if cached then hits + 1 else hits),
               if ok then failures else failures + 1 ))
           ([], 0, 0) lines
       in
       Stochserve.Server.close server;
-      let sorted l =
-        let a = Array.of_list l in
-        Array.sort compare a;
-        a
-      in
-      let cold_p50 = percentile (sorted cold_times) 0.5 in
-      let warm_p50 = percentile (sorted warm_times) 0.5 in
+      let cold_p50 = percentile (sorted_array cold_times) 0.5 in
+      let warm_p50 = percentile (sorted_array warm_times) 0.5 in
       let warm_hit_rate = float_of_int warm_hits /. float_of_int entries in
       Printf.printf
         "%d solves (%d journalled): recovered %d (skipped %d) -> warm hit \
@@ -506,16 +372,7 @@ let run_restart ~quick ~out =
             ("warm_p50_seconds", num warm_p50);
           ]
       in
-      match out with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () ->
-              output_string oc (J.to_string json);
-              output_char oc '\n');
-          Printf.printf "wrote %s\n" path)
+      write_artefact out json)
 
 (* ------------------------------------------------------------------ *)
 (* Spot savings: the revocation-aware two-tier sweep. The artefact     *)
@@ -526,16 +383,16 @@ let run_restart ~quick ~out =
 (* ------------------------------------------------------------------ *)
 
 let run_spot cfg ~quick ~out =
-  section "Spot savings: checkpointed spot vs on-demand reservations";
   let module J = Stochobs.Json in
   let t =
-    if quick then
-      Experiments.Spot_savings.run ~cfg ~ratios:[ 0.3; 0.8 ] ~mc_reps:4000
-        ~assign_disc_n:300 ()
-    else Experiments.Spot_savings.run ~cfg ()
+    show "Spot savings: checkpointed spot vs on-demand reservations"
+      (fun () ->
+        if quick then
+          Experiments.Spot_savings.run ~cfg ~ratios:[ 0.3; 0.8 ] ~mc_reps:4000
+            ~assign_disc_n:300 ()
+        else Experiments.Spot_savings.run ~cfg ())
+      Experiments.Spot_savings.to_string Experiments.Spot_savings.sanity
   in
-  print_string (Experiments.Spot_savings.to_string t);
-  report_sanity (Experiments.Spot_savings.sanity t);
   let num v = J.Num v in
   let cell_json c =
     J.Obj
@@ -586,16 +443,7 @@ let run_spot cfg ~quick ~out =
           J.Arr (List.map check_json t.Experiments.Spot_savings.mc_checks) );
       ]
   in
-  match out with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc (J.to_string json);
-          output_char oc '\n');
-      Printf.printf "wrote %s\n" path
+  write_artefact out json
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the individual solvers.                *)
@@ -805,24 +653,81 @@ let () =
     cfg.Experiments.Config.disc_n cfg.Experiments.Config.eps
     cfg.Experiments.Config.seed
     (if quick then " (quick mode)" else "");
-  let t2 =
-    if want "table2" || want "table4" then Some (run_table2 cfg) else None
+  let open Experiments in
+  let artefact name title run to_string sanity =
+    if want name then ignore (show title run to_string sanity)
   in
-  if want "table3" then run_table3 cfg;
-  (match t2 with Some t2 when want "table4" -> run_table4 cfg t2 | _ -> ());
-  if want "fig1" then run_fig1 cfg;
-  if want "fig2" then run_fig2 cfg;
-  if want "fig3" then run_fig3 cfg;
-  if want "fig4" then run_fig4 cfg;
-  if want "s1" then run_s1 cfg;
-  if want "table2x" then run_table2x cfg;
-  if want "ablation-bf" then run_ablation_bf cfg;
-  if want "ablation-eps" then run_ablation_eps cfg;
-  if want "robustness" then run_robustness cfg;
-  if want "robust-solve" then run_robust_solve cfg;
-  if want "trace-vs-fit" then run_trace_vs_fit cfg;
-  if want "cluster" then run_cluster cfg ~quick;
-  if want "faults" then run_faults cfg ~quick;
+  let t2 =
+    if want "table2" || want "table4" then
+      Some
+        (show "Table 2: normalized expected costs (ReservationOnly)"
+           (fun () -> Table2.run ~cfg ())
+           Table2.to_string Table2.sanity)
+    else None
+  in
+  artefact "table3" "Table 3: best t1 vs quantile guesses (ReservationOnly)"
+    (fun () -> Table3.run ~cfg ())
+    Table3.to_string Table3.sanity;
+  (match t2 with
+  | Some t2 ->
+      let brute_force name =
+        (List.find (fun r -> r.Table2.dist_name = name) t2.Table2.rows)
+          .Table2.values.(0)
+      in
+      artefact "table4" "Table 4: discretization convergence (ReservationOnly)"
+        (fun () -> Table4.run ~cfg ())
+        Table4.to_string
+        (Table4.sanity ~brute_force)
+  | None -> ());
+  artefact "fig1" "Figure 1: neuroscience traces and LogNormal fits"
+    (fun () -> Fig1.run ~cfg ())
+    Fig1.to_string Fig1.sanity;
+  artefact "fig2" "Figure 2: HPC queue wait times and affine fit"
+    (fun () -> Fig2.run ~cfg ())
+    Fig2.to_string Fig2.sanity;
+  artefact "fig3" "Figure 3: normalized cost vs t1 (gaps = invalid sequences)"
+    (fun () -> Fig3.run ~cfg ())
+    Fig3.to_string Fig3.sanity;
+  artefact "fig4" "Figure 4: NeuroHPC scenario sweep"
+    (fun () -> Fig4.run ~cfg ())
+    Fig4.to_string Fig4.sanity;
+  artefact "s1" "Section 3.5: optimal first reservation for Exp(1)"
+    (fun () -> Exp_s1.run ~cfg ())
+    Exp_s1.to_string Exp_s1.sanity;
+  artefact "table2x"
+    "Extended Table 2: paper strategies + quantile ladders on the extended \
+     distributions"
+    (fun () -> Table2x.run ~cfg ())
+    Table2x.to_string Table2x.sanity;
+  artefact "ablation-bf"
+    "Ablation: brute-force resolution (M, N) and MC selection optimism"
+    (fun () -> Ablation_bf.run ~cfg ())
+    Ablation_bf.to_string Ablation_bf.sanity;
+  artefact "ablation-eps"
+    "Ablation: truncation quantile eps for the discretization schemes"
+    (fun () -> Ablation_eps.run ~cfg ())
+    Ablation_eps.to_string Ablation_eps.sanity;
+  artefact "robustness"
+    "Ablation: robustness to model misspecification (fit from k runs)"
+    (fun () -> Robustness.run ~cfg ())
+    Robustness.to_string Robustness.sanity;
+  artefact "robust-solve"
+    "Robust solver cascade: tier counts and validation overhead (Table 1)"
+    (fun () -> Robust_solve.run ~cfg ())
+    Robust_solve.to_string Robust_solve.sanity;
+  artefact "trace-vs-fit"
+    "Ablation: interpolating traces vs fitting a LogNormal (NeuroHPC)"
+    (fun () -> Trace_vs_fit.run ~cfg ())
+    Trace_vs_fit.to_string Trace_vs_fit.sanity;
+  artefact "cluster"
+    "Cluster scheduler: strategies under contention, wait-time loop closed"
+    (fun () ->
+      Cluster_contention.run ~cfg ~jobs:(if quick then 500 else 1500) ())
+    Cluster_contention.to_string Cluster_contention.sanity;
+  artefact "faults"
+    "Fault tolerance: failure rate x {restart, checkpoint} x strategy"
+    (fun () -> Fault_tolerance.run ~cfg ~jobs:(if quick then 120 else 240) ())
+    Fault_tolerance.to_string Fault_tolerance.sanity;
   if want "spot" then run_spot cfg ~quick ~out;
   if want "obs" then run_obs ~out;
   if want "serve" then run_serve ~quick ~out;

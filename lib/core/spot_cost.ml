@@ -10,21 +10,31 @@ type regime = { price_ratio : float; revocation_rate : float; recovery : recover
 
 let is_finite x = Float.is_finite x
 
-let make_regime ?(recovery = Restart) ~price_ratio ~revocation_rate () =
+type regime_error = { field : string; detail : string }
+
+let check_regime ?(recovery = Restart) ~price_ratio ~revocation_rate () =
+  let bad field fmt x = Error { field; detail = Printf.sprintf fmt x } in
   if not (is_finite price_ratio && price_ratio > 0.0 && price_ratio <= 1.0) then
-    invalid_arg "Spot_cost.make_regime: price_ratio must be finite in (0, 1]";
-  if not (is_finite revocation_rate && revocation_rate >= 0.0) then
-    invalid_arg "Spot_cost.make_regime: revocation_rate must be finite and >= 0";
-  (match recovery with
-  | Restart -> ()
-  | Snapshot { period; snapshot_cost; restore_cost } ->
-      if not (is_finite period && period > 0.0) then
-        invalid_arg "Spot_cost.make_regime: snapshot period must be finite and > 0";
-      if not (is_finite snapshot_cost && snapshot_cost >= 0.0) then
-        invalid_arg "Spot_cost.make_regime: snapshot_cost must be finite and >= 0";
-      if not (is_finite restore_cost && restore_cost >= 0.0) then
-        invalid_arg "Spot_cost.make_regime: restore_cost must be finite and >= 0");
-  { price_ratio; revocation_rate; recovery }
+    bad "price_ratio" "must be finite in (0, 1], got %g" price_ratio
+  else if not (is_finite revocation_rate && revocation_rate >= 0.0) then
+    bad "revocation_rate" "must be finite and >= 0, got %g" revocation_rate
+  else
+    match recovery with
+    | Snapshot { period; _ } when not (is_finite period && period > 0.0) ->
+        bad "checkpoint_period" "must be finite and > 0, got %g" period
+    | Snapshot { snapshot_cost; _ }
+      when not (is_finite snapshot_cost && snapshot_cost >= 0.0) ->
+        bad "checkpoint_cost" "must be finite and >= 0, got %g" snapshot_cost
+    | Snapshot { restore_cost; _ }
+      when not (is_finite restore_cost && restore_cost >= 0.0) ->
+        bad "restore_cost" "must be finite and >= 0, got %g" restore_cost
+    | Restart | Snapshot _ -> Ok { price_ratio; revocation_rate; recovery }
+
+let make_regime ?recovery ~price_ratio ~revocation_rate () =
+  match check_regime ?recovery ~price_ratio ~revocation_rate () with
+  | Ok regime -> regime
+  | Error { field; detail } ->
+      invalid_arg (Printf.sprintf "Spot_cost.make_regime: %s %s" field detail)
 
 let on_demand_only = { price_ratio = 1.0; revocation_rate = 0.0; recovery = Restart }
 
@@ -82,11 +92,11 @@ let price regime = function On_demand -> 1.0 | Spot -> regime.price_ratio
 
 (* Deterministic geometry of one attempt: what it costs in elapsed
    time to finish from [progress] durable hours of a [total]-hour job
-   under the regime's recovery discipline. *)
+   under a recovery discipline. Scheduler.Job uses it too. *)
 type attempt = { restore : float; snaps_to_finish : int; finish_elapsed : float }
 
-let attempt_of regime ~progress ~total =
-  match regime.recovery with
+let attempt_of recovery ~progress ~total =
+  match recovery with
   | Restart -> { restore = 0.0; snaps_to_finish = 0; finish_elapsed = total }
   | Snapshot { period; snapshot_cost; restore_cost } ->
       let restore = if progress > 0.0 then restore_cost else 0.0 in
@@ -101,8 +111,8 @@ let attempt_of regime ~progress ~total =
 (* Snapshots completed [elapsed] hours into an attempt; each one makes
    a further [period] of work durable. Capped at [snaps_to_finish]
    (provable, but cheap to enforce). *)
-let snaps_by regime a ~elapsed =
-  match regime.recovery with
+let snaps_by recovery a ~elapsed =
+  match recovery with
   | Restart -> 0
   | Snapshot { period; snapshot_cost; _ } ->
       let c =
@@ -110,10 +120,14 @@ let snaps_by regime a ~elapsed =
       in
       max 0 (min c a.snaps_to_finish)
 
-let durable regime ~progress c =
-  match regime.recovery with
+let durable recovery ~progress c =
+  match recovery with
   | Restart -> progress
   | Snapshot { period; _ } -> progress +. (period *. float_of_int c)
+
+(* Eq. (1) bill of a reservation that ran to completion or expiry. *)
+let bill (m : Cost_model.t) p ~length ~elapsed =
+  (p *. m.alpha *. length) +. (m.beta *. elapsed) +. m.gamma
 
 type outcome = { billed : float; progress : float; finished : bool; revoked : bool }
 
@@ -126,29 +140,29 @@ let slot_outcome regime m ~tier ~length ~progress ~total ~revocation =
   let open Cost_model in
   let p = price regime tier in
   let revocation = match tier with On_demand -> infinity | Spot -> revocation in
-  let a = attempt_of regime ~progress ~total in
+  let a = attempt_of regime.recovery ~progress ~total in
   if a.finish_elapsed <= length && a.finish_elapsed <= revocation then
     {
-      billed = (p *. m.alpha *. length) +. (m.beta *. a.finish_elapsed) +. m.gamma;
+      billed = bill m p ~length ~elapsed:a.finish_elapsed;
       progress = total;
       finished = true;
       revoked = false;
     }
   else if revocation < length then
     (* Revoked mid-attempt: pay-for-use billing, keep durable snapshots. *)
-    let c = snaps_by regime a ~elapsed:revocation in
+    let c = snaps_by regime.recovery a ~elapsed:revocation in
     {
       billed = (((p *. m.alpha) +. m.beta) *. revocation) +. m.gamma;
-      progress = durable regime ~progress c;
+      progress = durable regime.recovery ~progress c;
       finished = false;
       revoked = true;
     }
   else
     (* Expired: the reservation ran out before the job finished. *)
-    let c = snaps_by regime a ~elapsed:length in
+    let c = snaps_by regime.recovery a ~elapsed:length in
     {
-      billed = (p *. m.alpha *. length) +. (m.beta *. length) +. m.gamma;
-      progress = durable regime ~progress c;
+      billed = bill m p ~length ~elapsed:length;
+      progress = durable regime.recovery ~progress c;
       finished = false;
       revoked = false;
     }
@@ -200,30 +214,28 @@ let cost_for_total regime m plan t =
         let length, tier = slot plan k in
         let p = price regime tier in
         let lam = match tier with On_demand -> 0.0 | Spot -> lam_spot in
-        let a = attempt_of regime ~progress ~total:t in
+        let a = attempt_of regime.recovery ~progress ~total:t in
         let e_fin = a.finish_elapsed in
         (* Rate 0 selects the deterministic (revocation-free) closed
            form; any positive rate takes the exponential-window branch. *)
         (* stochlint: allow FLOAT_EQ — intentional exact zero-rate sentinel *)
         if lam = 0.0 then
-          if e_fin <= length then (p *. m.alpha *. length) +. (m.beta *. e_fin) +. m.gamma
+          if e_fin <= length then bill m p ~length ~elapsed:e_fin
           else
-            let c = snaps_by regime a ~elapsed:length in
-            (p *. m.alpha *. length) +. (m.beta *. length) +. m.gamma +. go (k + 1) (j + c)
+            let c = snaps_by regime.recovery a ~elapsed:length in
+            bill m p ~length ~elapsed:length +. go (k + 1) (j + c)
         else begin
           let m_lim = min e_fin length in
           let acc = ref 0.0 in
           if e_fin <= length then
             (* Success: the job finishes at e_fin unless revoked first. *)
             acc :=
-              exp (-.lam *. e_fin)
-              *. ((p *. m.alpha *. length) +. (m.beta *. e_fin) +. m.gamma)
+              exp (-.lam *. e_fin) *. bill m p ~length ~elapsed:e_fin
           else begin
             (* Expiry: survive to the reservation end, job unfinished. *)
             let pe = exp (-.lam *. length) in
-            let c = snaps_by regime a ~elapsed:length in
-            let bill = (p *. m.alpha *. length) +. (m.beta *. length) +. m.gamma in
-            acc := !acc +. (pe *. bill);
+            let c = snaps_by regime.recovery a ~elapsed:length in
+            acc := !acc +. (pe *. bill m p ~length ~elapsed:length);
             if pe > prune then acc := !acc +. (pe *. go (k + 1) (j + c))
           end;
           (* Revocation windows: a revocation s hours in, with exactly c

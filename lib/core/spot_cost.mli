@@ -54,14 +54,24 @@ type regime = {
   recovery : recovery;
 }
 
+type regime_error = { field : string; detail : string }
+
+val check_regime :
+  ?recovery:recovery ->
+  price_ratio:float ->
+  revocation_rate:float ->
+  unit ->
+  (regime, regime_error) result
+(** Validates a regime ([recovery] defaults to {!Restart}), naming the
+    first bad [field]: ["price_ratio"] outside [(0, 1]],
+    ["revocation_rate"] negative, or a [Snapshot]'s ["checkpoint_period"]
+    [<= 0] or ["checkpoint_cost"] / ["restore_cost"] negative. Non-finite
+    values are always rejected. *)
+
 val make_regime :
   ?recovery:recovery -> price_ratio:float -> revocation_rate:float -> unit -> regime
-(** [make_regime ~price_ratio ~revocation_rate ()] validates and builds
-    a regime ([recovery] defaults to {!Restart}).
-    @raise Invalid_argument if [price_ratio] is outside [(0, 1]] or not
-    finite, [revocation_rate] is negative or NaN or infinite, or a
-    [Snapshot] field is invalid ([period <= 0], negative costs, or any
-    non-finite value). *)
+(** {!check_regime}, raising on failure.
+    @raise Invalid_argument naming the field {!check_regime} rejects. *)
 
 val on_demand_only : regime
 (** [price_ratio = 1.0], [revocation_rate = 0.0], {!Restart}: the
@@ -101,6 +111,28 @@ val to_sequence : plan -> Sequence.t
 (** The tier-less reservation sequence: plan lengths followed by the
     same doubling extension as {!slot} — suitable for
     {!Expected_cost.exact}. *)
+
+(** {2 Attempt kernel}
+
+    The only implementation of the attempt geometry described above
+    (no snapshot at completion); {!slot_outcome} adds the billing. The
+    cluster engine's {!Scheduler.Job} delegates its geometry here too. *)
+
+type attempt = {
+  restore : float;  (** Restore overhead paid up front. *)
+  snaps_to_finish : int;  (** Snapshots written on the way to completion. *)
+  finish_elapsed : float;  (** Hours the attempt needs to finish the job. *)
+}
+
+val attempt_of : recovery -> progress:float -> total:float -> attempt
+(** Geometry of an attempt resuming a [total]-hour job from [progress]. *)
+
+val snaps_by : recovery -> attempt -> elapsed:float -> int
+(** Snapshots completed [elapsed] hours in, at most [snaps_to_finish]. *)
+
+val durable : recovery -> progress:float -> int -> float
+(** [durable r ~progress c]: progress once an attempt from [progress]
+    has completed [c] snapshots. *)
 
 type outcome = {
   billed : float;  (** Cost charged for this reservation. *)

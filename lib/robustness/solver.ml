@@ -579,38 +579,10 @@ type spot_solution = {
   assignment_evaluations : int;
 }
 
-let spot_regime ?(recovery = Spot_cost.Restart) ~price_ratio ~revocation_rate () =
-  let bad name fmt_detail = Error (Invalid_parameter { name; detail = fmt_detail }) in
-  if not (Float.is_finite price_ratio && price_ratio > 0.0 && price_ratio <= 1.0)
-  then
-    bad "price_ratio"
-      (Printf.sprintf "must be finite in (0, 1], got %g" price_ratio)
-  else if not (Float.is_finite revocation_rate && revocation_rate >= 0.0) then
-    bad "revocation_rate"
-      (Printf.sprintf "must be finite and >= 0, got %g" revocation_rate)
-  else
-    let recovery_ok =
-      match recovery with
-      | Spot_cost.Restart -> None
-      | Spot_cost.Snapshot { period; snapshot_cost; restore_cost } ->
-          if not (Float.is_finite period && period > 0.0) then
-            Some
-              ( "checkpoint_period",
-                Printf.sprintf "must be finite and > 0, got %g" period )
-          else if not (Float.is_finite snapshot_cost && snapshot_cost >= 0.0)
-          then
-            Some
-              ( "checkpoint_cost",
-                Printf.sprintf "must be finite and >= 0, got %g" snapshot_cost )
-          else if not (Float.is_finite restore_cost && restore_cost >= 0.0) then
-            Some
-              ( "restore_cost",
-                Printf.sprintf "must be finite and >= 0, got %g" restore_cost )
-          else None
-    in
-    match recovery_ok with
-    | Some (name, detail) -> bad name detail
-    | None -> Ok (Spot_cost.make_regime ~recovery ~price_ratio ~revocation_rate ())
+let spot_regime ?recovery ~price_ratio ~revocation_rate () =
+  Result.map_error
+    (fun { Spot_cost.field; detail } -> Invalid_parameter { name = field; detail })
+    (Spot_cost.check_regime ?recovery ~price_ratio ~revocation_rate ())
 
 let solve_spot ?(obs = Trace.null) ?clock ?budget ?tiers ?validate ?exact ?seed
     ?recovery ?(disc_n = 500) ~price_ratio ~revocation_rate cost_model d =

@@ -1,5 +1,6 @@
 module Sequence = Stochastic_core.Sequence
 module Checkpoint = Stochastic_core.Checkpoint
+module Spot_cost = Stochastic_core.Spot_cost
 
 type outcome = Success | Timeout | Node_failure
 
@@ -25,6 +26,14 @@ let make_checkpoint ~params ~period =
     invalid_arg "Job.make_checkpoint: period must be positive and finite";
   { params; period }
 
+let recovery_of { params; period } =
+  Spot_cost.Snapshot
+    {
+      period;
+      snapshot_cost = params.Checkpoint.checkpoint_cost;
+      restore_cost = params.Checkpoint.restart_cost;
+    }
+
 type state = Waiting | Running | Done | Abandoned
 
 type t = {
@@ -33,7 +42,7 @@ type t = {
   duration : float;
   arrival : float;
   reservations : float array;
-  checkpoint : checkpoint option;
+  recovery : Spot_cost.recovery; (* Restart without ?checkpoint *)
   mutable attempt : int;
   mutable progress : float; (* durably checkpointed work *)
   mutable failures : int; (* node-failure kills suffered *)
@@ -68,7 +77,7 @@ let make ?checkpoint ~id ~nodes ~arrival ~duration sequence =
     duration;
     arrival;
     reservations;
-    checkpoint;
+    recovery = Option.fold ~none:Spot_cost.Restart ~some:recovery_of checkpoint;
     attempt = 0;
     progress = 0.0;
     failures = 0;
@@ -89,7 +98,8 @@ let submitted j = j.submitted
 let progress j = j.progress
 let failures j = j.failures
 let epoch j = j.epoch
-let checkpointed j = j.checkpoint <> None
+let checkpointed j =
+  match j.recovery with Spot_cost.Restart -> false | Spot_cost.Snapshot _ -> true
 let reservations j = Array.copy j.reservations
 
 let request j =
@@ -98,50 +108,27 @@ let request j =
      duration, so a fortiori the remaining work. *)
   j.reservations.(min j.attempt (Array.length j.reservations - 1))
 
-let remaining j = j.duration -. j.progress
+(* The attempt geometry (restore, periodic snapshots, no snapshot at
+   completion, progress durable in whole periods) is Spot_cost's
+   kernel; a job only supplies its recovery and durable progress. *)
+let geometry j =
+  Spot_cost.attempt_of j.recovery ~progress:j.progress ~total:j.duration
 
-(* Time structure of an attempt under the periodic-checkpoint
-   discipline: restore the last snapshot (restart_cost, only when there
-   is one), then alternate [period] of work and a checkpoint
-   (checkpoint_cost); no checkpoint is taken at completion. Durable
-   progress advances only at completed checkpoints. *)
-
-let restore_time j =
-  match j.checkpoint with
-  | Some c when j.progress > 0.0 -> c.params.Checkpoint.restart_cost
-  | _ -> 0.0
-
-(* Checkpoints paid on the way to completing [w] more work. *)
-let ckpts_to_finish w period =
-  max 0 (int_of_float (Float.ceil ((w /. period) -. 1e-12)) - 1)
+let restore_time j = (geometry j).Spot_cost.restore
 
 let attempt_span j =
   if j.state <> Waiting && j.state <> Running then
     invalid_arg "Job.attempt_span: job has no open attempt";
   let l = request j in
-  let w = remaining j in
-  match j.checkpoint with
-  | None -> if l >= w then (w, true) else (l, false)
-  | Some { params; period } ->
-      let need =
-        restore_time j +. w
-        +. (params.Checkpoint.checkpoint_cost
-           *. float_of_int (ckpts_to_finish w period))
-      in
-      if need <= l +. 1e-9 then (need, true) else (l, false)
+  let need = (geometry j).Spot_cost.finish_elapsed in
+  if need <= l then (need, true) else (l, false)
 
-(* Durable checkpoints completed [elapsed] into the current attempt. *)
-let snapshots_by j ~elapsed =
-  match j.checkpoint with
-  | None -> 0
-  | Some { params; period } ->
-      let r = restore_time j in
-      let cycle = period +. params.Checkpoint.checkpoint_cost in
-      let k =
-        if elapsed <= r then 0
-        else int_of_float (Float.floor (((elapsed -. r) /. cycle) +. 1e-12))
-      in
-      min (max 0 k) (ckpts_to_finish (remaining j) period)
+(* Keep the work covered by the snapshots completed [elapsed] into the
+   current attempt; returns how many completed. *)
+let salvage j ~elapsed =
+  let k = Spot_cost.snaps_by j.recovery (geometry j) ~elapsed in
+  j.progress <- Spot_cost.durable j.recovery ~progress:j.progress k;
+  k
 
 let start j ~now =
   if j.state <> Waiting then invalid_arg "Job.start: job is not waiting";
@@ -180,20 +167,13 @@ let finish_attempt j ~now =
        jobs keep the work covered by completed snapshots; plain jobs
        restart from scratch (the paper's execution model). *)
     let l = request j in
-    (match j.checkpoint with
-    | None -> ()
-    | Some { period; _ } ->
-        let k = snapshots_by j ~elapsed:l in
-        let gained = float_of_int k *. period in
-        if
-          gained <= 0.0
-          && j.attempt >= Array.length j.reservations - 1
-        then
-          (* Every future attempt re-requests the same last reservation
-             and would gain nothing: the overheads have made the job
-             impossible to finish. *)
-          raise (Sequence.Not_covered j.duration);
-        j.progress <- j.progress +. gained);
+    if salvage j ~elapsed:l = 0 && j.attempt >= Array.length j.reservations - 1
+    then
+      (* Every future attempt re-requests the same last reservation
+         and would gain nothing: the overheads have made the job
+         impossible to finish. (Unreachable without checkpointing: the
+         last reservation covers the whole duration.) *)
+      raise (Sequence.Not_covered j.duration);
     record j ~elapsed:l ~outcome:Timeout;
     j.attempt <- j.attempt + 1;
     j.submitted <- now;
@@ -207,11 +187,7 @@ let interrupt j ~now =
   (* Resume from the last completed snapshot; without checkpointing the
      attempt is lost entirely. The reservation index does not advance:
      the request was not too short, the node died under it. *)
-  (match j.checkpoint with
-  | None -> ()
-  | Some { period; _ } ->
-      let k = snapshots_by j ~elapsed in
-      j.progress <- j.progress +. (float_of_int k *. period));
+  ignore (salvage j ~elapsed : int);
   record j ~elapsed ~outcome:Node_failure;
   j.failures <- j.failures + 1;
   j.state <- Waiting

@@ -25,7 +25,9 @@
     both timeouts and node failures, so progress is monotone across
     attempts; uncheckpointed work in the open period is lost with the
     attempt. Without [?checkpoint] every attempt restarts from
-    scratch. *)
+    scratch. The geometry is {!Stochastic_core.Spot_cost}'s attempt
+    kernel, which the job delegates to with a [Restart] or [Snapshot]
+    recovery. *)
 
 type outcome = Success | Timeout | Node_failure
 
@@ -98,9 +100,6 @@ val request : t -> float
 
 val reservations : t -> float array
 (** The materialised reservation prefix (a copy). *)
-
-val remaining : t -> float
-(** [duration - progress]. *)
 
 val restore_time : t -> float
 (** Snapshot-restore overhead the next attempt pays up front: the

@@ -174,8 +174,7 @@ let window_p99 t =
   else begin
     let sorted = Array.sub t.lat_window 0 n in
     Array.sort compare sorted;
-    let rank = int_of_float (Float.ceil (0.99 *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
+    Numerics.Stats.quantile_nearest_rank_sorted sorted 0.99
   end
 
 let record_latency t elapsed =

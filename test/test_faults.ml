@@ -229,6 +229,139 @@ let prop_checkpoint_progress_monotone =
                 < 1e-9)
            r.Engine.jobs)
 
+(* ------------------------------------------------------------------ *)
+(* One attempt kernel: Job against Spot_cost.slot_outcome              *)
+(* ------------------------------------------------------------------ *)
+
+(* A failure lands at a fraction of the request (fractions >= 1 never
+   cut it short) or exactly on the completion of snapshot [c]. *)
+type failure = Frac of float | Snap of int
+
+let kernel_case_gen =
+  QCheck.Gen.(
+    let* period = float_range 0.2 2.0 in
+    let* snapshot_cost = oneof [ return 0.0; float_range 0.0 0.3 ] in
+    let* restore_cost = oneof [ return 0.0; float_range 0.0 0.3 ] in
+    let* duration = float_range 0.1 12.0 in
+    let* t1 = float_range 0.2 4.0 in
+    let failure =
+      oneof
+        [
+          return None;
+          map (fun f -> Some (Frac f)) (float_range 0.0 1.2);
+          map (fun c -> Some (Snap c)) (int_range 0 4);
+        ]
+    in
+    let* failures = list_size (int_range 1 8) failure in
+    let* alpha = float_range 0.1 2.0 in
+    let* beta = float_range 0.0 2.0 in
+    let* gamma = float_range 0.0 2.0 in
+    return
+      ( (period, snapshot_cost, restore_cost),
+        (duration, t1),
+        Array.of_list failures,
+        Stochastic_core.Cost_model.make ~alpha ~beta ~gamma () ))
+
+let print_kernel_case ((period, sc, rc), (duration, t1), failures, m) =
+  let failure = function
+    | None -> "-"
+    | Some (Frac f) -> Printf.sprintf "%h" f
+    | Some (Snap c) -> Printf.sprintf "snap%d" c
+  in
+  Printf.sprintf
+    "period=%h snapshot=%h restore=%h duration=%h t1=%h failures=[%s] \
+     alpha=%h beta=%h gamma=%h"
+    period sc rc duration t1
+    (String.concat "; " (Array.to_list (Array.map failure failures)))
+    m.Stochastic_core.Cost_model.alpha m.Stochastic_core.Cost_model.beta
+    m.Stochastic_core.Cost_model.gamma
+
+(* Walk one checkpointed job through start / finish_attempt /
+   interrupt and the same reservations through slot_outcome at price 1
+   (the failure time is the revocation time). Every attempt starts at
+   time 0, so the job's elapsed time is the failure time exactly. *)
+let prop_job_matches_spot_kernel =
+  QCheck.Test.make ~count:500
+    ~name:"checkpointed Job = Spot_cost.slot_outcome, attempt by attempt"
+    (QCheck.make ~print:print_kernel_case kernel_case_gen)
+    (fun ((period, snapshot_cost, restore_cost), (duration, t1), failures, m) ->
+      let module Spot_cost = Stochastic_core.Spot_cost in
+      let checkpoint =
+        Job.make_checkpoint
+          ~params:
+            (Checkpoint.make_params ~checkpoint_cost:snapshot_cost
+               ~restart_cost:restore_cost)
+          ~period
+      in
+      let regime =
+        Spot_cost.make_regime
+          ~recovery:(Spot_cost.Snapshot { period; snapshot_cost; restore_cost })
+          ~price_ratio:1.0 ~revocation_rate:0.0 ()
+      in
+      let rec ladder l acc =
+        if l >= duration then List.rev (l :: acc) else ladder (2.0 *. l) (l :: acc)
+      in
+      let job =
+        Job.make ~checkpoint ~id:0 ~nodes:1 ~arrival:0.0 ~duration
+          (Stochastic_core.Sequence.of_list (ladder t1 []))
+      in
+      let rec walk i =
+        if i >= 100 || Job.state job = Job.Done then true
+        else begin
+          Job.start job ~now:0.0;
+          let length = Job.request job and progress = Job.progress job in
+          let revocation =
+            match failures.(i mod Array.length failures) with
+            | None -> infinity
+            | Some (Frac f) -> f *. length
+            | Some (Snap c) ->
+                Job.restore_time job +. (float_of_int c *. (period +. snapshot_cost))
+          in
+          let o =
+            Spot_cost.slot_outcome regime m ~tier:Spot_cost.Spot ~length
+              ~progress ~total:duration ~revocation
+          in
+          let span, _ = Job.attempt_span job in
+          let closed =
+            if revocation < span then begin
+              Job.interrupt job ~now:revocation;
+              Job.resubmit job ~at:0.0;
+              true
+            end
+            else
+              match Job.finish_attempt job ~now:0.0 with
+              | _ -> true
+              | exception Stochastic_core.Sequence.Not_covered _ -> false
+          in
+          if not closed then
+            (* The job gave up: the kernel must agree that the last
+               reservation expires without a single snapshot. *)
+            (not o.Spot_cost.finished) && (not o.Spot_cost.revoked)
+            && Float.equal o.Spot_cost.progress progress
+          else
+            let attempts = Job.attempts job in
+            let a = attempts.(Array.length attempts - 1) in
+            let cost = Metrics.attempt_cost m a in
+            let billed = o.Spot_cost.billed in
+            let same_bill =
+              match a.Job.outcome with
+              | Job.Success -> o.Spot_cost.finished && Float.equal cost billed
+              | Job.Timeout ->
+                  (not o.Spot_cost.finished) && (not o.Spot_cost.revoked)
+                  && Float.equal cost billed
+              | Job.Node_failure ->
+                  o.Spot_cost.revoked
+                  && Float.abs (cost -. billed) <= 1e-12 *. Float.abs billed
+            in
+            same_bill
+            && Array.length attempts = i + 1
+            && Float.equal (Job.progress job) o.Spot_cost.progress
+            && Job.state job = Job.Done = o.Spot_cost.finished
+            && walk (i + 1)
+        end
+      in
+      walk 0)
+
 let test_capped_retries_abandon () =
   let jobs = small_workload ~seed:5 ~jobs:60 () in
   let r =
@@ -368,5 +501,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_trace_deterministic;
           QCheck_alcotest.to_alcotest prop_unbounded_retries_complete;
           QCheck_alcotest.to_alcotest prop_checkpoint_progress_monotone;
+          QCheck_alcotest.to_alcotest prop_job_matches_spot_kernel;
         ] );
     ]
