@@ -135,8 +135,8 @@ let obs_term =
          & info [ "fake-clock" ]
              ~doc:
                "Timestamp trace records with a deterministic counter clock \
-                instead of CPU time, so same-seed runs produce byte-identical \
-                trace files.")
+                instead of the monotonic wall clock, so same-seed runs \
+                produce byte-identical trace files.")
   in
   Term.(
     const (fun trace_file metrics_file profile fake_clock ->
@@ -175,7 +175,7 @@ let with_obs opts f =
     end
   in
   let clock =
-    if opts.fake_clock then Stochobs.Clock.fake () else Stochobs.Clock.cpu
+    if opts.fake_clock then Stochobs.Clock.fake () else Stochobs.Clock.wall
   in
   Fun.protect ~finally:finish (fun () ->
       match opts.trace_file with

@@ -26,7 +26,7 @@ let exact ?(tail_eps = 1e-16) ?(max_terms = 100_000) m d s =
 
 let monte_carlo m d rng ~n s =
   let samples = Dist.samples d rng n in
-  Array.sort Float.compare samples;
+  Numerics.Stats.sort samples;
   Sequence.mean_cost_sorted m s samples
 
 let mean_cost_presampled m ~sorted_samples s =

@@ -126,7 +126,7 @@ let presampled_of_sorted sorted =
 
 let presample samples =
   let sorted = Array.copy samples in
-  Array.sort Float.compare sorted;
+  Numerics.Stats.sort sorted;
   presampled_of_sorted sorted
 
 (* First index in [lo, hi) whose sample exceeds [t], or [hi]. *)

@@ -12,7 +12,8 @@ let make ~shape ~rate =
       (if shape < 1.0 then infinity else if shape = 1.0 then rate else 0.0)
     else exp (log_norm +. ((shape -. 1.0) *. log t) -. (rate *. t))
   in
-  let cdf t = if t <= 0.0 then 0.0 else Sf.gamma_p shape (rate *. t) in
+  let gamma_p = Sf.gamma_p shape and gamma_q = Sf.gamma_q shape in
+  let cdf t = if t <= 0.0 then 0.0 else gamma_p (rate *. t) in
   let quantile x =
     if x < 0.0 || x > 1.0 then
       invalid_arg "Gamma_dist.quantile: x must be in [0, 1]";
@@ -33,7 +34,7 @@ let make ~shape ~rate =
           z /. (1.0 +. (a1 /. z) +. (a1 *. (a1 -. 1.0) /. (z *. z)))
         end
         else begin
-          let q = Sf.gamma_q shape z in
+          let q = gamma_q z in
           exp ((shape *. log z) -. z -. (Sf.log_gamma shape +. log q))
         end
       in

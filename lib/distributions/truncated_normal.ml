@@ -27,12 +27,11 @@ let make ~mu ~sigma ~lower =
     if t < lower then 0.0
     else phi ((t -. mu) /. sigma) /. (sigma *. z_norm)
   in
+  let erf_alpha = Sf.erf (alpha /. sqrt2) in
   let cdf t =
     if t <= lower then 0.0
     else begin
-      let num =
-        Sf.erf ((t -. mu) /. (sigma *. sqrt2)) -. Sf.erf (alpha /. sqrt2)
-      in
+      let num = Sf.erf ((t -. mu) /. (sigma *. sqrt2)) -. erf_alpha in
       Float.min 1.0 (num /. (2.0 *. z_norm))
     end
   in
@@ -44,7 +43,7 @@ let make ~mu ~sigma ~lower =
     else begin
       (* Table 5: Q(x) = mu + sigma sqrt2 erf^-1 (z),
          z = x + (1 - x) erf (alpha / sqrt2). *)
-      let z = x +. ((1.0 -. x) *. Sf.erf (alpha /. sqrt2)) in
+      let z = x +. ((1.0 -. x) *. erf_alpha) in
       mu +. (sigma *. sqrt2 *. Sf.erf_inv z)
     end
   in

@@ -17,9 +17,9 @@ type t = {
 }
 
 let time f =
-  let t0 = Sys.time () in
+  let t0 = Stochobs.Clock.wall () in
   let v = f () in
-  (v, Sys.time () -. t0)
+  (v, Stochobs.Clock.wall () -. t0)
 
 let run ?(cfg = Config.paper) ?(log = Stochobs.Log.null) () =
   let cost = C.reservation_only in

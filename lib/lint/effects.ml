@@ -240,6 +240,7 @@ let () =
       "Stdlib.Sys.getcwd";
       "Stdlib.Sys.chdir";
       "Stdlib.Sys.time";
+      "Monotonic_clock.now";
       "Stdlib.Filename.temp_file";
       "Stdlib.Filename.open_temp_file";
     ]

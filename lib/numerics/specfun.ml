@@ -47,8 +47,13 @@ let gamma x = exp (log_gamma x)
 (* Regularized incomplete gamma functions.                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The series and continued-fraction kernels take [lg = log_gamma a]
+   from the caller, which computes it once per shape. The prefactor
+   keeps its left-to-right association, so the result is bit-for-bit
+   the one recomputing [log_gamma a] inline would give. *)
+
 (* Power-series expansion of P(a, x), converges fast for x < a + 1. *)
-let gamma_p_series a x =
+let gamma_p_series a lg x =
   let ap = ref a in
   let sum = ref (1.0 /. a) in
   let del = ref (1.0 /. a) in
@@ -61,10 +66,10 @@ let gamma_p_series a x =
     sum := !sum +. !del;
     if Float.abs !del < Float.abs !sum *. eps then converged := true
   done;
-  !sum *. exp ((-.x) +. (a *. log x) -. log_gamma a)
+  !sum *. exp ((-.x) +. (a *. log x) -. lg)
 
 (* Lentz continued fraction for Q(a, x), converges fast for x >= a + 1. *)
-let gamma_q_cf a x =
+let gamma_q_cf a lg x =
   let tiny = 1e-300 in
   let b = ref (x +. 1.0 -. a) in
   let c = ref (1.0 /. tiny) in
@@ -86,23 +91,27 @@ let gamma_q_cf a x =
     if Float.abs (delta -. 1.0) < eps then converged := true;
     incr i
   done;
-  exp ((-.x) +. (a *. log x) -. log_gamma a) *. !h
+  exp ((-.x) +. (a *. log x) -. lg) *. !h
 
-let gamma_p a x =
+let gamma_p a =
   if a <= 0.0 then invalid_arg "Specfun.gamma_p: a must be positive";
-  if x < 0.0 then invalid_arg "Specfun.gamma_p: x must be non-negative";
-  (* stochlint: allow FLOAT_EQ — series/cf boundary: x = 0 returns the exact limit P(a, 0) = 0 *)
-  if x = 0.0 then 0.0
-  else if x < a +. 1.0 then gamma_p_series a x
-  else 1.0 -. gamma_q_cf a x
+  let lg = log_gamma a in
+  fun x ->
+    if x < 0.0 then invalid_arg "Specfun.gamma_p: x must be non-negative";
+    (* stochlint: allow FLOAT_EQ — series/cf boundary: x = 0 returns the exact limit P(a, 0) = 0 *)
+    if x = 0.0 then 0.0
+    else if x < a +. 1.0 then gamma_p_series a lg x
+    else 1.0 -. gamma_q_cf a lg x
 
-let gamma_q a x =
+let gamma_q a =
   if a <= 0.0 then invalid_arg "Specfun.gamma_q: a must be positive";
-  if x < 0.0 then invalid_arg "Specfun.gamma_q: x must be non-negative";
-  (* stochlint: allow FLOAT_EQ — series/cf boundary: x = 0 returns the exact limit Q(a, 0) = 1 *)
-  if x = 0.0 then 1.0
-  else if x < a +. 1.0 then 1.0 -. gamma_p_series a x
-  else gamma_q_cf a x
+  let lg = log_gamma a in
+  fun x ->
+    if x < 0.0 then invalid_arg "Specfun.gamma_q: x must be non-negative";
+    (* stochlint: allow FLOAT_EQ — series/cf boundary: x = 0 returns the exact limit Q(a, 0) = 1 *)
+    if x = 0.0 then 1.0
+    else if x < a +. 1.0 then 1.0 -. gamma_p_series a lg x
+    else gamma_q_cf a lg x
 
 let upper_incomplete_gamma a x = gamma_q a x *. gamma a
 
@@ -117,6 +126,7 @@ let inverse_gamma_p a p =
   (* stochlint: allow FLOAT_EQ — inverse endpoint sentinel: p = 1 maps to +inf *)
   else if p = 1.0 then infinity
   else begin
+    let gamma_p_a = gamma_p a in
     let gln = log_gamma a in
     let a1 = a -. 1.0 in
     let lna1 = if a > 1.0 then log a1 else 0.0 in
@@ -145,7 +155,7 @@ let inverse_gamma_p a p =
     let x = ref x0 in
     for _ = 1 to 16 do
       if !x > 0.0 then begin
-        let err = gamma_p a !x -. p in
+        let err = gamma_p_a !x -. p in
         let t =
           if a > 1.0 then afac *. exp ((-. (!x -. a1)) +. (a1 *. (log !x -. lna1)))
           else exp ((-. !x) +. (a1 *. log !x) -. gln)
@@ -162,9 +172,9 @@ let inverse_gamma_p a p =
     (* Newton can stall deep in the tails where the derivative
        underflows; verify and fall back to a bracketed bisection,
        which is slow but unconditionally convergent. *)
-    let residual = gamma_p a !x -. p in
+    let residual = gamma_p_a !x -. p in
     if Float.abs residual > 1e-12 then begin
-      let f y = gamma_p a y -. p in
+      let f y = gamma_p_a y -. p in
       let lo = ref 0.0 and hi = ref (Float.max (2.0 *. !x) (2.0 *. a)) in
       while f !hi < 0.0 && !hi < 1e12 do
         hi := !hi *. 2.0
@@ -185,14 +195,19 @@ let inverse_gamma_p a p =
 (* Error function, via the incomplete gamma machinery.                 *)
 (* ------------------------------------------------------------------ *)
 
+(* P(1/2, .) and Q(1/2, .) with [log_gamma 0.5] computed once, at
+   module initialisation. *)
+let gamma_p_half = gamma_p 0.5
+let gamma_q_half = gamma_q 0.5
+
 let erf x =
   (* stochlint: allow FLOAT_EQ — erf(0) = 0 exactly; avoids the gamma_p singularity at 0 *)
   if x = 0.0 then 0.0
-  else if x > 0.0 then gamma_p 0.5 (x *. x)
-  else -.gamma_p 0.5 (x *. x)
+  else if x > 0.0 then gamma_p_half (x *. x)
+  else -.gamma_p_half (x *. x)
 
 let erfc x =
-  if x >= 0.0 then gamma_q 0.5 (x *. x) else 1.0 +. gamma_p 0.5 (x *. x)
+  if x >= 0.0 then gamma_q_half (x *. x) else 1.0 +. gamma_p_half (x *. x)
 
 let normal_cdf x = 0.5 *. erfc (-.x /. sqrt_two)
 
@@ -352,23 +367,24 @@ let betacf a b x =
   done;
   !h
 
-let betai a b x =
+(* [lg_ab] is the leading [lg(a+b) - lg(a) - lg(b)] of the prefactor's
+   left-to-right sum, so hoisting it keeps every bit of [bt]. *)
+let betai a b =
   if a <= 0.0 || b <= 0.0 then
     invalid_arg "Specfun.betai: a and b must be positive";
-  if x < 0.0 || x > 1.0 then invalid_arg "Specfun.betai: x must be in [0, 1]";
-  (* stochlint: allow FLOAT_EQ — betai endpoint: x = 0 returns the exact limit 0 *)
-  if x = 0.0 then 0.0
-  (* stochlint: allow FLOAT_EQ — betai endpoint: x = 1 returns the exact limit 1 *)
-  else if x = 1.0 then 1.0
-  else begin
-    let bt =
-      exp
-        (log_gamma (a +. b) -. log_gamma a -. log_gamma b +. (a *. log x)
-        +. (b *. log (1.0 -. x)))
-    in
-    if x < (a +. 1.0) /. (a +. b +. 2.0) then bt *. betacf a b x /. a
-    else 1.0 -. (bt *. betacf b a (1.0 -. x) /. b)
-  end
+  let lg_ab = log_gamma (a +. b) -. log_gamma a -. log_gamma b in
+  let split = (a +. 1.0) /. (a +. b +. 2.0) in
+  fun x ->
+    if x < 0.0 || x > 1.0 then invalid_arg "Specfun.betai: x must be in [0, 1]";
+    (* stochlint: allow FLOAT_EQ — betai endpoint: x = 0 returns the exact limit 0 *)
+    if x = 0.0 then 0.0
+    (* stochlint: allow FLOAT_EQ — betai endpoint: x = 1 returns the exact limit 1 *)
+    else if x = 1.0 then 1.0
+    else begin
+      let bt = exp (lg_ab +. (a *. log x) +. (b *. log (1.0 -. x))) in
+      if x < split then bt *. betacf a b x /. a
+      else 1.0 -. (bt *. betacf b a (1.0 -. x) /. b)
+    end
 
 let incomplete_beta a b x = betai a b x *. beta_fun a b
 
@@ -407,6 +423,7 @@ let inverse_betai a b p =
         else 1.0 -. ((b *. w *. (1.0 -. p)) ** (1.0 /. b))
       end
     in
+    let betai_ab = betai a b in
     let afac = -.log_beta a b in
     let a1 = a -. 1.0 and b1 = b -. 1.0 in
     let x = ref x0 in
@@ -414,7 +431,7 @@ let inverse_betai a b p =
     if !x >= 1.0 then x := 1.0 -. 1e-12;
     for _ = 1 to 16 do
       if !x > 0.0 && !x < 1.0 then begin
-        let err = betai a b !x -. p in
+        let err = betai_ab !x -. p in
         let t = exp ((a1 *. log !x) +. (b1 *. log (1.0 -. !x)) +. afac) in
         if t > 0.0 then begin
           let u = err /. t in
@@ -429,9 +446,9 @@ let inverse_betai a b p =
     done;
     (* Bracketed bisection fallback for tail cases where Newton
        stalls (see inverse_gamma_p). *)
-    let residual = betai a b !x -. p in
+    let residual = betai_ab !x -. p in
     if Float.abs residual > 1e-12 then begin
-      let f y = betai a b y -. p in
+      let f y = betai_ab y -. p in
       let lo = ref 0.0 and hi = ref 1.0 in
       for _ = 1 to 200 do
         let mid = 0.5 *. (!lo +. !hi) in

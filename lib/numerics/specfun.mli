@@ -25,13 +25,16 @@ val gamma_p : float -> float -> float
 (** [gamma_p a x] is the lower regularized incomplete gamma function
     [P(a, x) = gamma(a, x) / Gamma(a)] for [a > 0], [x >= 0]. Uses the
     power series for [x < a + 1] and the Lentz continued fraction
-    otherwise. *)
+    otherwise. The partial application [gamma_p a] checks [a] and
+    computes [log_gamma a] once; reuse it to evaluate many [x] at one
+    shape (the results are bit-for-bit those of [gamma_p a x]). *)
 
 val gamma_q : float -> float -> float
 (** [gamma_q a x] is the upper regularized incomplete gamma function
     [Q(a, x) = 1 - P(a, x)]. Computed directly from the continued
     fraction when [x >= a + 1], so it stays accurate in the far tail
-    where [1 - P] would cancel. *)
+    where [1 - P] would cancel. [gamma_q a] hoists [log_gamma a] like
+    {!gamma_p}. *)
 
 val upper_incomplete_gamma : float -> float -> float
 (** [upper_incomplete_gamma a x] is the non-regularized upper incomplete
@@ -80,7 +83,10 @@ val beta_fun : float -> float -> float
 val betai : float -> float -> float -> float
 (** [betai a b x] is the regularized incomplete beta function
     [I_x(a, b)] for [x] in [[0, 1]], via the Lentz continued fraction
-    with the symmetry split at [x = (a+1)/(a+b+2)]. *)
+    with the symmetry split at [x = (a+1)/(a+b+2)]. The partial
+    application [betai a b] checks the shapes and computes the three
+    log-gamma terms of the prefactor once; reuse it to evaluate many
+    [x] (bit-for-bit the results of [betai a b x]). *)
 
 val incomplete_beta : float -> float -> float -> float
 (** [incomplete_beta a b x] is the non-regularized incomplete beta

@@ -15,6 +15,51 @@ let variance ?(ddof = 1) xs =
 
 let std ?ddof xs = sqrt (variance ?ddof xs)
 
+(* [Float.compare a b <= 0] without a call: nan sorts first and equals
+   itself, -0 and +0 are equal. *)
+let le (a : float) b = a <= b || Float.is_nan a
+
+let insertion_sort (a : float array) lo hi =
+  for i = lo + 1 to hi - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && not (le a.(!j) x) do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
+(* Merge the sorted runs [src.(lo..mid-1)] and [src.(mid..hi-1)] into
+   [dst.(lo..hi-1)], taking from the left run on ties (stable). *)
+let merge (src : float array) lo mid hi (dst : float array) =
+  let i = ref lo and j = ref mid in
+  for k = lo to hi - 1 do
+    if !i < mid && (!j >= hi || le src.(!i) src.(!j)) then begin
+      dst.(k) <- src.(!i);
+      incr i
+    end
+    else begin
+      dst.(k) <- src.(!j);
+      incr j
+    end
+  done
+
+let insertion_cutoff = 32
+
+(* Sorts [a.(lo..hi-1)]; on entry [b] holds the same elements there and
+   serves as scratch, the halves ping-ponging between the two arrays. *)
+let rec merge_sort a b lo hi =
+  if hi - lo <= insertion_cutoff then insertion_sort a lo hi
+  else begin
+    let mid = (lo + hi) / 2 in
+    merge_sort b a lo mid;
+    merge_sort b a mid hi;
+    merge b lo mid hi a
+  end
+
+let sort xs = merge_sort xs (Array.copy xs) 0 (Array.length xs)
+
 let quantiles_sorted xs p =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.quantile: empty sample";

@@ -19,6 +19,14 @@ val variance : ?ddof:int -> float array -> float
 val std : ?ddof:int -> float array -> float
 (** [std ?ddof xs] is [sqrt (variance ?ddof xs)]. *)
 
+val sort : float array -> unit
+(** [sort xs] sorts [xs] in place in [Float.compare] order: a stable
+    merge sort over the unboxed float array, where the polymorphic
+    [Array.sort Float.compare] boxes every element it reads. Its output
+    equals [Array.sort Float.compare]'s up to the order of elements
+    that compare equal yet differ in bits ([-0.] against [0.], nan
+    payloads), an order neither sort specifies. *)
+
 val quantile : float array -> float -> float
 (** [quantile xs p] is the [p]-quantile of the sample, [p] in
     [[0, 1]], using linear interpolation between order statistics

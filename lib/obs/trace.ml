@@ -26,7 +26,7 @@ type sink = state option
 
 let null : sink = None
 
-let make ?(clock = Clock.cpu) write : sink =
+let make ?(clock = Clock.wall) write : sink =
   Some { clock; write; next_id = 1; stack = []; spans = 0; events = 0 }
 
 let enabled = Option.is_some

@@ -30,7 +30,7 @@ val null : sink
 (** The disabled sink: no clock reads, no allocation, no output. *)
 
 val make : ?clock:Clock.t -> Writer.t -> sink
-(** [make writer] is a live sink. [clock] defaults to {!Clock.cpu}. *)
+(** [make writer] is a live sink. [clock] defaults to {!Clock.wall}. *)
 
 val enabled : sink -> bool
 

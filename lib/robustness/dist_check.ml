@@ -17,7 +17,7 @@ let low_tails = [ 1e-9; 1e-6; 1e-4; 1e-2 ]
 let high_tails = [ 1.0 -. 1e-2; 1.0 -. 1e-4; 1.0 -. 1e-6 ]
 
 let run ?(grid = 33) ?(tol = 1e-6) ?(mass_tol = 5e-3) d =
-  let t0 = Sys.time () in
+  let t0 = Stochobs.Clock.wall () in
   let issues = ref [] in
   let add id severity detail = issues := { id; severity; detail } :: !issues in
   (* Every probe is guarded: a raising pdf/cdf/quantile is itself a
@@ -308,7 +308,12 @@ let run ?(grid = 33) ?(tol = 1e-6) ?(mass_tol = 5e-3) d =
              true
            end)
   in
-  { dist_name = d.Dist.name; probes = np; issues; elapsed = Sys.time () -. t0 }
+  {
+    dist_name = d.Dist.name;
+    probes = np;
+    issues;
+    elapsed = Stochobs.Clock.wall () -. t0;
+  }
 
 let fatal r = List.filter (fun i -> i.severity = Fatal) r.issues
 let warnings r = List.filter (fun i -> i.severity = Warning) r.issues

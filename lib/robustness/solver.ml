@@ -457,7 +457,7 @@ let attempt_tier st ~obs ~exact ~seed cost_model d tier =
                      (Printexc.to_string exn);
                }))
 
-let solve ?(obs = Trace.null) ?(clock = Stochobs.Clock.cpu)
+let solve ?(obs = Trace.null) ?(clock = Stochobs.Clock.wall)
     ?(budget = default_budget) ?(tiers = all_tiers) ?(validate = true)
     ?(exact = false) ?(seed = 42) cost_model d =
   match check_budget_params budget with

@@ -120,7 +120,7 @@ val solve :
     {!Stochobs.Trace.null}) receives a ["robust.solver.solve"] span
     with one ["robust.solver.tier"] child per executed tier, each
     closing with an [outcome] attribute ([accepted]/[rejected] plus
-    the typed reason); [clock] (default {!Stochobs.Clock.cpu}) is the
+    the typed reason); [clock] (default {!Stochobs.Clock.wall}) is the
     time source the [max_seconds] budget guard reads — inject the same
     {!Stochobs.Clock.fake} that drives a trace sink and the cascade's
     control flow (hence the trace's shape) no longer depends on

@@ -102,7 +102,7 @@ type t = {
 
 let window_size = 128
 
-let create ?(obs = Trace.null) ?(clock = Stochobs.Clock.cpu)
+let create ?(obs = Trace.null) ?(clock = Stochobs.Clock.wall)
     ?(metrics = M.default) ?journal config =
   (match check_config config with
   | Ok _ -> ()

@@ -235,6 +235,80 @@ let test_beta_formulas () =
   (* pdf of Beta(2,2) at 1/2 is 1.5. *)
   rel_close "beta pdf(0.5)" 1.5 (d.Dist.pdf 0.5)
 
+(* ------------- hoisted constants: bit identity on a grid ------------ *)
+
+(* Gamma, Beta and TruncatedNormal build their special-function
+   constants once per law; each cdf/quantile must return the same bits
+   as a closure that recomputes them on every call from the per-call
+   specfun expressions of [Specfun_oracle]. *)
+module O = Specfun_oracle
+
+let check_bits name f oracle xs =
+  List.iter
+    (fun x ->
+      let got = f x and want = oracle x in
+      if not (Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float want))
+      then Alcotest.failf "%s at %h: got %h, oracle %h" name x got want)
+    xs
+
+let grid lo hi n =
+  List.init (n + 1) (fun i -> lo +. ((hi -. lo) *. float_of_int i /. float_of_int n))
+
+let probs = grid 0.0 1.0 200
+
+let test_hoisted_gamma () =
+  List.iter
+    (fun (shape, rate) ->
+      let d = Distributions.Gamma_dist.make ~shape ~rate in
+      let name = d.Dist.name in
+      check_bits (name ^ " cdf") d.Dist.cdf
+        (fun t -> if t <= 0.0 then 0.0 else O.gamma_p shape (rate *. t))
+        (grid (-0.5) (d.Dist.quantile 0.9999 *. 1.5) 500);
+      check_bits (name ^ " quantile") d.Dist.quantile
+        (fun x -> O.inverse_gamma_p shape x /. rate)
+        probs)
+    [ (2.0, 2.0); (0.5, 1.3); (1.0, 0.2); (7.5, 0.4); (40.0, 3.0) ]
+
+let test_hoisted_beta () =
+  List.iter
+    (fun (alpha, beta) ->
+      let d = Distributions.Beta_dist.make ~alpha ~beta in
+      let name = d.Dist.name in
+      check_bits (name ^ " cdf") d.Dist.cdf
+        (fun t ->
+          if t <= 0.0 then 0.0 else if t >= 1.0 then 1.0 else O.betai alpha beta t)
+        (grid (-0.1) 1.1 600);
+      check_bits (name ^ " quantile") d.Dist.quantile (O.inverse_betai alpha beta)
+        probs)
+    [ (2.0, 2.0); (0.5, 0.7); (5.0, 1.5); (1.0, 1.0); (12.0, 30.0) ]
+
+let test_hoisted_truncated_normal () =
+  let sqrt2 = sqrt 2.0 in
+  List.iter
+    (fun (mu, sigma, lower) ->
+      let d = Distributions.Truncated_normal.make ~mu ~sigma ~lower in
+      let name = d.Dist.name in
+      let alpha = (lower -. mu) /. sigma in
+      let z_norm = 0.5 *. O.erfc (alpha /. sqrt2) in
+      check_bits (name ^ " cdf") d.Dist.cdf
+        (fun t ->
+          if t <= lower then 0.0
+          else
+            Float.min 1.0
+              ((O.erf ((t -. mu) /. (sigma *. sqrt2)) -. O.erf (alpha /. sqrt2))
+              /. (2.0 *. z_norm)))
+        (grid (lower -. 1.0) (mu +. (8.0 *. sigma)) 500);
+      check_bits (name ^ " quantile") d.Dist.quantile
+        (fun x ->
+          (* stochlint: allow FLOAT_EQ — quantile endpoint sentinel: x = 1 maps to +inf *)
+          if x = 1.0 then infinity
+          else
+            mu
+            +. sigma *. sqrt2
+               *. Numerics.Specfun.erf_inv (x +. ((1.0 -. x) *. O.erf (alpha /. sqrt2))))
+        probs)
+    [ (8.0, sqrt 2.0, 0.0); (0.0, 1.0, 0.0); (1.0, 2.0, 0.5); (-1.0, 1.0, 0.0) ]
+
 let test_bounded_pareto_formulas () =
   let d = Distributions.Bounded_pareto.default in
   (* Table 5 mean formula, L=1, H=20, alpha=2.1. *)
@@ -348,6 +422,13 @@ let () =
           Alcotest.test_case "constructor validation" `Quick
             test_constructor_validation;
           Alcotest.test_case "table1 find" `Quick test_table1_find;
+        ] );
+      ( "hoisted-bits",
+        [
+          Alcotest.test_case "gamma cdf/quantile" `Quick test_hoisted_gamma;
+          Alcotest.test_case "beta cdf/quantile" `Quick test_hoisted_beta;
+          Alcotest.test_case "truncated normal cdf/quantile" `Quick
+            test_hoisted_truncated_normal;
         ] );
       ( "property",
         [

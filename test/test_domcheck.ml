@@ -14,6 +14,7 @@ let fixture_root = "fixtures/domcheck"
 (* The test binary runs in [_build/default/test]; the library trees
    live one level up. *)
 let randomness_root = "../lib/randomness"
+let obs_root = "../lib/obs/.stochobs.objs"
 
 let analyze ?(entries = []) root =
   Domcheck.analyze ~context:(Rules.Lib "fixture") ~source_root:root ~entries
@@ -135,6 +136,29 @@ let test_rng_ambient () =
   Alcotest.(check bool) "entry is rng-ambient" true e.e_rng_ambient;
   Alcotest.(check bool) "stdlib rng flag propagated" true e.e_eff.Effects.rng
 
+(* --- IO: the wall clock is an ambient read -------------------------- *)
+
+(* The fixture calls [Stochobs.Clock.wall]; analysing it together with
+   the real stochobs tree resolves that call to a function whose own
+   body reads [Monotonic_clock.now], the builtin registered as IO. *)
+let test_clock_io () =
+  let entries = [ "Clock_read.elapsed"; "Stochobs.Clock.wall" ] in
+  let o =
+    Domcheck.analyze ~context:(Rules.Lib "fixture") ~source_root:fixture_root
+      ~entries [ fixture_root; obs_root ]
+  in
+  Alcotest.(check (list string)) "every entry resolves" []
+    o.unresolved_entries;
+  List.iter
+    (fun name ->
+      let e = find_entry o name in
+      Alcotest.(check bool) (name ^ " carries io") true e.e_eff.Effects.io;
+      Alcotest.(check bool)
+        (name ^ " touches no global")
+        false
+        (e.e_eff.Effects.writes_global || e.e_eff.Effects.reads_global))
+    entries
+
 (* --- suppression + baseline filtering ------------------------------- *)
 
 let test_baseline_filter () =
@@ -230,6 +254,8 @@ let () =
         ] );
       ( "rng-ambient",
         [ Alcotest.test_case "stdlib + global generator" `Quick test_rng_ambient ] );
+      ( "io",
+        [ Alcotest.test_case "wall clock read propagates" `Quick test_clock_io ] );
       ( "baseline",
         [ Alcotest.test_case "suppress and grandfather" `Quick test_baseline_filter ] );
       ( "randomness-regression",

@@ -18,6 +18,21 @@ let discard_clock (_ : Clock.t) = ()
 
 (* ------------------------------ clock ----------------------------- *)
 
+(* [Clock.wall] reads seconds, not nanoseconds, never goes backwards,
+   and counts time spent asleep. *)
+let test_wall_clock () =
+  let prev = ref (Clock.wall ()) in
+  for _ = 1 to 10_000 do
+    let t = Clock.wall () in
+    if t < !prev then Alcotest.failf "wall clock went back: %h -> %h" !prev t;
+    prev := t
+  done;
+  let t0 = Clock.wall () in
+  Unix.sleepf 0.01;
+  let dt = Clock.wall () -. t0 in
+  if dt < 0.009 || dt > 1.0 then
+    Alcotest.failf "a 10 ms sleep read as %g s" dt
+
 let test_fake_clock () =
   let c = Clock.fake () in
   check_float "first reading" 0.0 (c ());
@@ -268,6 +283,18 @@ let test_zero_filter () =
     (M.zero (M.Gauge_v { last = 0.0; max = 0.0 }));
   Alcotest.(check bool) "empty histogram" true
     (M.zero (M.Histogram_v { upper = [| 1.0 |]; counts = [| 0; 0 |]; total = 0; sum = 0.0 }))
+
+(* Integer-valued numbers render exactly as [%.0f] would, -0 included. *)
+let prop_json_integer_numbers =
+  QCheck.Test.make ~count:2000 ~name:"integer numbers render as %.0f"
+    QCheck.(
+      oneof
+        [
+          map float_of_int (int_range (-1000) 1000);
+          map Float.round (float_range (-1e15) 1e15);
+          oneofl [ 0.0; -0.0; 1e15 -. 1.0; -.(1e15 -. 1.0) ];
+        ])
+    (fun v -> J.to_string (J.Num v) = Printf.sprintf "%.0f" v)
 
 let test_metrics_json_roundtrip () =
   let t = M.create ~enabled:true () in
@@ -592,6 +619,29 @@ let test_solver_trace_bf_tallies () =
   Alcotest.(check bool) "density underflow counted" true
     (List.assoc "density_underflow" tallies > 0)
 
+(* The budget guard runs on wall time by default: a law whose cdf
+   sleeps burns almost no CPU, so only a wall clock stops the scan. *)
+let test_solver_budget_wall_clock () =
+  let base = Distributions.Lognormal.default in
+  let d =
+    {
+      base with
+      Distributions.Dist.cdf =
+        (fun t ->
+          Unix.sleepf 1e-3;
+          base.Distributions.Dist.cdf t);
+    }
+  in
+  let budget =
+    { quick with Robust.Solver.bf_candidates = 200; max_seconds = 0.05 }
+  in
+  let buf = Buffer.create 4096 in
+  let obs = Trace.make (Writer.to_buffer buf) in
+  ignore (Robust.Solver.solve ~obs ~budget ~validate:false cost d);
+  let candidates, _ = bf_tallies (parse_lines (Buffer.contents buf)) in
+  if candidates < 1 || candidates >= 200 then
+    Alcotest.failf "brute force scanned %d of 200 candidates" candidates
+
 let test_solver_trace_dp_tallies () =
   (* The DP tier span carries the support size after duplicates merge
      and the number of reservations the DP chose. *)
@@ -647,7 +697,10 @@ let () =
   Alcotest.run "obs"
     [
       ( "clock",
-        [ Alcotest.test_case "fake clock" `Quick test_fake_clock ] );
+        [
+          Alcotest.test_case "fake clock" `Quick test_fake_clock;
+          Alcotest.test_case "wall clock" `Quick test_wall_clock;
+        ] );
       ( "trace",
         [
           Alcotest.test_case "null sink" `Quick test_null_sink;
@@ -668,6 +721,7 @@ let () =
           Alcotest.test_case "diff clamps" `Quick test_diff_clamps_and_passes_through;
           Alcotest.test_case "zero filter" `Quick test_zero_filter;
           Alcotest.test_case "json roundtrip" `Quick test_metrics_json_roundtrip;
+          QCheck_alcotest.to_alcotest prop_json_integer_numbers;
           Alcotest.test_case "merge per-domain registries" `Quick
             test_merge_per_domain_registries;
           QCheck_alcotest.to_alcotest prop_merge_associative;
@@ -684,6 +738,8 @@ let () =
           Alcotest.test_case "fallback tier spans" `Quick test_solver_trace_fallback;
           Alcotest.test_case "solver trace brute-force tallies" `Quick
             test_solver_trace_bf_tallies;
+          Alcotest.test_case "budget guard on wall time" `Quick
+            test_solver_budget_wall_clock;
           Alcotest.test_case "solver trace DP tallies" `Quick
             test_solver_trace_dp_tallies;
           Alcotest.test_case "trace determinism" `Quick test_solver_trace_deterministic;

@@ -325,6 +325,22 @@ let test_server_stats_and_shutdown () =
     (field "ok" r = J.Bool true);
   Alcotest.(check bool) "shutdown stops the loop" true stop
 
+(* The default clock is wall time: uptime keeps advancing while the
+   daemon sleeps, which a CPU-time clock would not. *)
+let test_uptime_is_wall_time () =
+  let s = quick_server () in
+  let uptime () =
+    match J.member "uptime_seconds" (Server.stats_json s) with
+    | Some (J.Num u) -> u
+    | _ -> Alcotest.fail "stats lack a numeric uptime_seconds"
+  in
+  let before = uptime () in
+  Unix.sleepf 0.05;
+  let after = uptime () in
+  if after -. before < 0.05 then
+    Alcotest.failf "uptime advanced %.4f s across a 0.05 s sleep"
+      (after -. before)
+
 let test_serve_pump () =
   let s = quick_server () in
   let script =
@@ -605,6 +621,8 @@ let () =
           Alcotest.test_case "error paths" `Quick test_server_error_paths;
           Alcotest.test_case "stats and shutdown" `Quick
             test_server_stats_and_shutdown;
+          Alcotest.test_case "uptime is wall time" `Quick
+            test_uptime_is_wall_time;
           Alcotest.test_case "serve pump" `Quick test_serve_pump;
           Alcotest.test_case "non-finite parameters rejected" `Quick
             test_reject_nonfinite_params;

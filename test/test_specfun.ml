@@ -173,6 +173,67 @@ let prop_betai_symmetry =
     (fun (a, b, x) ->
       Float.abs (Sf.betai a b x -. (1.0 -. Sf.betai b a (1.0 -. x))) <= 1e-11)
 
+(* ------------- bit identity against the per-call forms ------------- *)
+
+(* [Specfun_oracle] keeps the expressions as they were before the
+   per-shape constants were hoisted; the hoisted library must return
+   the very same bits. Each property draws 10^4 random points and, at
+   every draw, also checks the fixed edges: x = 0, x = 1 and the
+   series/continued-fraction switch (x = a + 1 for the incomplete gamma,
+   x = (a+1)/(a+b+2) for betai) nudged by up to three ulps. *)
+module O = Specfun_oracle
+
+let same_bits f oracle x =
+  let got = f x and want = oracle x in
+  if Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float want) then
+    true
+  else
+    QCheck.Test.fail_reportf "at x = %h: got %h, oracle %h" x got want
+
+let rec nudge x k =
+  if k > 0 then nudge (Float.succ x) (k - 1)
+  else if k < 0 then nudge (Float.pred x) (k + 1)
+  else x
+
+let bits_count = 10_000
+
+let prop_erf_bits =
+  QCheck.Test.make ~count:bits_count ~name:"erf/erfc bit-identical to per-call"
+    QCheck.(pair (float_range (-7.0) 7.0) (int_range (-3) 3))
+    (fun (x, k) ->
+      (* x^2 = 1.5 = a + 1 is the switch for a = 1/2. *)
+      let switch = nudge (sqrt 1.5) k in
+      List.for_all
+        (fun x -> same_bits Sf.erf O.erf x && same_bits Sf.erfc O.erfc x)
+        [ x; -.x; 0.0; 1.0; -1.0; switch; -.switch ])
+
+let gamma_points a x k = [ x; 0.0; 1.0; nudge (a +. 1.0) k ]
+
+let prop_gamma_bits =
+  QCheck.Test.make ~count:bits_count
+    ~name:"gamma_p/gamma_q bit-identical to per-call"
+    QCheck.(triple (float_range 0.05 30.0) (float_range 0.0 60.0) (int_range (-3) 3))
+    (fun (a, x, k) ->
+      let p = Sf.gamma_p a and q = Sf.gamma_q a in
+      List.for_all
+        (fun x ->
+          same_bits p (O.gamma_p a) x
+          && same_bits q (O.gamma_q a) x
+          && same_bits (Sf.gamma_p a) (O.gamma_p a) x)
+        (gamma_points a x k))
+
+let prop_betai_bits =
+  QCheck.Test.make ~count:bits_count ~name:"betai bit-identical to per-call"
+    QCheck.(
+      quad (float_range 0.1 20.0) (float_range 0.1 20.0) (float_range 0.0 1.0)
+        (int_range (-3) 3))
+    (fun (a, b, x, k) ->
+      let f = Sf.betai a b in
+      let switch = nudge ((a +. 1.0) /. (a +. b +. 2.0)) k in
+      List.for_all
+        (fun x -> same_bits f (O.betai a b) x)
+        [ x; 0.0; 1.0; Float.min 1.0 (Float.max 0.0 switch) ])
+
 let () =
   Alcotest.run "specfun"
     [
@@ -204,5 +265,11 @@ let () =
           Alcotest.test_case "incomplete beta" `Quick test_incomplete_beta;
           QCheck_alcotest.to_alcotest prop_betai_roundtrip;
           QCheck_alcotest.to_alcotest prop_betai_symmetry;
+        ] );
+      ( "hoisted-bits",
+        [
+          QCheck_alcotest.to_alcotest prop_erf_bits;
+          QCheck_alcotest.to_alcotest prop_gamma_bits;
+          QCheck_alcotest.to_alcotest prop_betai_bits;
         ] );
     ]

@@ -110,6 +110,60 @@ let prop_quantile_bounds =
       let q = S.quantile a p in
       q >= mn -. 1e-12 && q <= mx +. 1e-12)
 
+(* [S.sort] against the polymorphic [Array.sort Float.compare] it
+   replaces. Elements are drawn from a pool with nan (both signs),
+   +-inf, +-0 and a handful of repeated values, at the sizes either
+   side of the insertion-sort cutoff. Equal-comparing elements may
+   differ in bits (-0 and 0, the two nans) and neither sort fixes their
+   order, so the check is: position by position equal under
+   [Float.compare], and the same multiset of bit patterns. *)
+let sort_sizes = [ 0; 1; 2; 31; 32; 33; 1000 ]
+
+let special_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofl [ nan; -.nan; infinity; neg_infinity; 0.0; -0.0 ]);
+        (3, map float_of_int (int_range (-5) 5));
+        (3, float_range (-1e3) 1e3);
+      ])
+
+let prop_sort_matches_array_sort =
+  QCheck.Test.make ~count:300 ~name:"sort = Array.sort Float.compare"
+    (QCheck.make
+       ~print:QCheck.Print.(array float)
+       QCheck.Gen.(oneofl sort_sizes >>= fun n -> array_size (return n) special_float))
+    (fun xs ->
+      let ours = Array.copy xs and ref_ = Array.copy xs in
+      S.sort ours;
+      Array.sort Float.compare ref_;
+      let bits a =
+        let b = Array.map Int64.bits_of_float a in
+        Array.sort Int64.compare b;
+        b
+      in
+      Array.for_all2 (fun a b -> Float.compare a b = 0) ours ref_
+      && bits ours = bits xs)
+
+let test_sort_each_size () =
+  (* Every size, deterministically, including an already-sorted and a
+     reversed input. *)
+  List.iter
+    (fun n ->
+      List.iter
+        (fun xs ->
+          let ours = Array.copy xs and ref_ = Array.copy xs in
+          S.sort ours;
+          Array.sort Float.compare ref_;
+          Alcotest.(check (array (float 0.0)))
+            (Printf.sprintf "n = %d" n) ref_ ours)
+        [
+          Array.init n (fun i -> float_of_int i);
+          Array.init n (fun i -> float_of_int (n - i));
+          Array.init n (fun i -> float_of_int ((i * 7919) mod 13));
+        ])
+    sort_sizes
+
 let () =
   Alcotest.run "stats"
     [
@@ -122,11 +176,13 @@ let () =
           Alcotest.test_case "min_max" `Quick test_min_max;
           Alcotest.test_case "histogram" `Quick test_histogram;
           Alcotest.test_case "online" `Quick test_online;
+          Alcotest.test_case "sort each size" `Quick test_sort_each_size;
         ] );
       ( "property",
         [
           QCheck_alcotest.to_alcotest prop_online_matches_batch;
           QCheck_alcotest.to_alcotest prop_quantile_monotone;
           QCheck_alcotest.to_alcotest prop_quantile_bounds;
+          QCheck_alcotest.to_alcotest prop_sort_matches_array_sort;
         ] );
     ]
