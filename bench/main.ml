@@ -1,13 +1,21 @@
 (* Benchmark harness: regenerates every table and figure of the paper
-   (Sect. 5) and runs Bechamel micro-benchmarks of the solvers.
+   (Sect. 5) and the repo's extensions from the artefact registry
+   (Experiments.Artefact.all), plus three harness-only artefacts that
+   measure the instrumentation and the serve daemon. Every artefact's
+   qualitative checks are gates: the harness exits 1 naming each
+   failed check, and 2 on a bad argument.
 
    Usage:
      dune exec bench/main.exe               # everything, paper parameters
      dune exec bench/main.exe -- quick      # everything, reduced parameters
      dune exec bench/main.exe -- table2     # a single artefact
-     dune exec bench/main.exe -- perf      # only the micro-benchmarks
      dune exec bench/main.exe -- obs --out BENCH_obs.json
-                                            # instrumentation overhead *)
+                                            # instrumentation overhead
+     dune exec bench/main.exe -- serve quick --out BENCH_serve.json \
+       --compare bench/baselines/BENCH_serve.json
+                                            # ... held to a baseline *)
+
+module Artefact = Experiments.Artefact
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -21,16 +29,6 @@ let report_sanity checks =
     List.iter
       (fun (label, _) -> Printf.printf "[sanity] FAILED: %s\n" label)
       failed
-
-(* The shape every paper artefact shares: a titled section, the
-   experiment's table, then its qualitative checks. Returns the result
-   for artefacts that feed another (Table 4 reuses Table 2). *)
-let show title run to_string sanity =
-  section title;
-  let t = run () in
-  print_string (to_string t);
-  report_sanity (sanity t);
-  t
 
 (* "--out FILE": write the artefact's JSON, newline-terminated. *)
 let write_artefact out json =
@@ -49,11 +47,10 @@ let write_artefact out json =
 (* Observability overhead: the same solve workload with the tracing    *)
 (* sink and metrics registry off vs on. The artefact backs the         *)
 (* "instrumentation is a branch when disabled" claim with a number     *)
-(* and gives CI something to gate on (overhead must stay under 10%).   *)
+(* and a gate: the overhead must stay under 10%.                       *)
 (* ------------------------------------------------------------------ *)
 
-let run_obs ~out =
-  section "Observability overhead: instrumented vs no-op solve";
+let run_obs () =
   let module M = Stochobs.Metrics in
   let cost = Stochastic_core.Cost_model.reservation_only in
   let d = Distributions.Lognormal.default in
@@ -64,46 +61,51 @@ let run_obs ~out =
     | Error e -> failwith (Robust.Solver.error_to_string e)
   in
   let time_batch reps f =
-    let t0 = Sys.time () in
+    let t0 = Stochobs.Clock.wall () in
     for _ = 1 to reps do f () done;
-    Sys.time () -. t0
+    Stochobs.Clock.wall () -. t0
   in
   (* Calibrate the repetition count so the no-op arm runs long enough
-     (~1 s) to make the relative overhead measurable, then take the
-     best of three batches per arm to shed scheduling noise. *)
+     to make the relative overhead measurable, then split it into short
+     rounds, each timing one no-op and one instrumented batch back to
+     back. The overhead is the median of the per-round ratios: a drift
+     in machine load hits both batches of a round alike, and a burst
+     that hits one batch moves only its round. *)
   solve Stochobs.Trace.null;
   let once = time_batch 1 (fun () -> solve Stochobs.Trace.null) in
   let reps = max 10 (min 500 (int_of_float (1.0 /. Float.max 1e-4 once))) in
-  let best f =
-    let m = ref infinity in
-    for _ = 1 to 3 do m := Float.min !m (time_batch reps f) done;
-    !m
-  in
-  let wall_noop = best (fun () -> solve Stochobs.Trace.null) in
+  let rounds = 15 and batch = max 2 (reps / 5) in
   let buf = Buffer.create 65536 in
   let sink =
     Stochobs.Trace.make ~clock:(Stochobs.Clock.fake ())
       (Stochobs.Writer.to_buffer buf)
   in
-  M.set_enabled M.default true;
+  (* Counters only move while the registry is enabled, so the delta
+     over the whole loop is the instrumented arm's. *)
   let before = M.snapshot M.default in
-  let wall_on = best (fun () -> solve sink) in
+  let timings =
+    Array.init rounds (fun _ ->
+        let noop = time_batch batch (fun () -> solve Stochobs.Trace.null) in
+        M.set_enabled M.default true;
+        let on = time_batch batch (fun () -> solve sink) in
+        M.set_enabled M.default false;
+        (noop, on))
+  in
   let delta = M.diff ~before ~after:(M.snapshot M.default) in
-  M.set_enabled M.default false;
   let evaluations =
     match List.assoc_opt "robust.solver.evaluations" delta with
     | Some (M.Counter_v n) -> n
     | _ -> 0
   in
-  let overhead =
-    if wall_noop > 0.0 then (wall_on -. wall_noop) /. wall_noop else 0.0
-  in
+  let median f = Numerics.Stats.median (Array.map f timings) in
+  let wall_noop = median fst and wall_on = median snd in
+  let overhead = median (fun (noop, on) -> (on -. noop) /. noop) in
   let num v = Stochobs.Json.Num v in
   let json =
     Stochobs.Json.Obj
       [
         ("workload", Stochobs.Json.Str "robust-solve lognormal quick-budget");
-        ("reps", num (float_of_int (3 * reps)));
+        ("reps", num (float_of_int (rounds * batch)));
         ("wall_seconds_noop", num wall_noop);
         ("wall_seconds_instrumented", num wall_on);
         ("overhead", num overhead);
@@ -112,22 +114,25 @@ let run_obs ~out =
         ("trace_bytes", num (float_of_int (Buffer.length buf)));
       ]
   in
-  Printf.printf
-    "no-op: %.4f s, instrumented: %.4f s over %d solves -> overhead %.2f%% \
-     (%d spans, %d trace bytes)\n"
-    wall_noop wall_on reps (100.0 *. overhead)
-    (Stochobs.Trace.spans_written sink)
-    (Buffer.length buf);
-  write_artefact out json
+  {
+    Artefact.text =
+      Printf.sprintf
+        "no-op: %.4f s, instrumented: %.4f s over %d solves -> overhead \
+         %.2f%% (%d spans, %d trace bytes)\n"
+        wall_noop wall_on batch (100.0 *. overhead)
+        (Stochobs.Trace.spans_written sink)
+        (Buffer.length buf);
+    checks = [ ("instrumentation overhead < 10%", overhead < 0.10) ];
+    json = Some json;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Strategy-as-a-service daemon: N tenants with near-identical         *)
 (* LogNormal fits hammer the solve endpoint. Because the cache key     *)
 (* quantizes fitted parameters onto a relative grid, the fleet         *)
 (* collapses onto a handful of solved entries — the artefact reports   *)
-(* the measured hit rate and the cached/cold latency split that the    *)
-(* CI gate checks (hit rate >= 0.9, cached p99 at least 10x below the  *)
-(* cold p50).                                                          *)
+(* the measured hit rate and the cached/cold latency split its checks  *)
+(* gate (hit rate >= 0.9, cached p99 at least 10x below the cold p50). *)
 (* ------------------------------------------------------------------ *)
 
 let percentile sorted p =
@@ -146,9 +151,9 @@ let sorted_array l =
    (latency, cached, ok). *)
 let timed_request server line =
   let module J = Stochobs.Json in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Stochobs.Clock.wall () in
   let resp, _stop = Stochserve.Server.handle_line server line in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Stochobs.Clock.wall () -. t0 in
   let flag j name =
     match J.member name j with Some (J.Bool b) -> b | _ -> false
   in
@@ -156,8 +161,7 @@ let timed_request server line =
   | Some (Ok j) -> (dt, flag j "cached", flag j "ok")
   | None | Some (Error _) -> (dt, false, false)
 
-let run_serve ~quick ~out =
-  section "Serve daemon: tenant fleet with near-identical LogNormal fits";
+let run_serve ~quick =
   let module J = Stochobs.Json in
   let tenants = if quick then 20 else 48 in
   let rounds = 4 in
@@ -232,20 +236,22 @@ let run_serve ~quick ~out =
   let cached_p50 = percentile cached_a 0.5 in
   let cached_p99 = percentile cached_a 0.99 in
   let total_solves = tenants * rounds in
-  Printf.printf
-    "%d tenants x %d rounds: %d cold, %d cached solves -> hit rate %.3f\n"
-    tenants rounds (List.length !cold) (List.length !cached) hit_rate;
-  Printf.printf
-    "latency: cold p50 %.3f ms, cached p50 %.4f ms, cached p99 %.4f ms\n"
-    (1e3 *. cold_p50) (1e3 *. cached_p50) (1e3 *. cached_p99);
-  report_sanity
+  let text =
+    Printf.sprintf
+      "%d tenants x %d rounds: %d cold, %d cached solves -> hit rate %.3f\n\
+       latency: cold p50 %.3f ms, cached p50 %.4f ms, cached p99 %.4f ms\n"
+      tenants rounds (List.length !cold) (List.length !cached) hit_rate
+      (1e3 *. cold_p50) (1e3 *. cached_p50) (1e3 *. cached_p99)
+  in
+  let checks =
     [
       ("all fits succeed", !fit_failures = 0);
       ("all solves succeed", !solve_failures = 0);
       ("cache hit rate >= 0.9", hit_rate >= 0.9);
       ( "cached p99 at least 10x below cold p50",
         cached_p99 *. 10.0 <= cold_p50 );
-    ];
+    ]
+  in
   let json =
     J.Obj
       [
@@ -263,18 +269,18 @@ let run_serve ~quick ~out =
         ("cached_p99_seconds", num cached_p99);
       ]
   in
-  write_artefact out json
+  { Artefact.text; checks; json = Some json }
 
 (* ------------------------------------------------------------------ *)
 (* Restart benchmark: solve a batch with --persist semantics, abandon  *)
 (* the server the way a SIGKILL would (no close), then restart from    *)
 (* the journal and replay the batch. The artefact reports the warm-    *)
-(* restart hit rate the CI chaos gate checks (>= 0.9) and the cold vs  *)
-(* warm latency split that quantifies what the journal buys.           *)
+(* restart hit rate its checks gate (>= 0.9, every record recovered)   *)
+(* and the cold vs warm latency split that quantifies what the journal *)
+(* buys.                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let run_restart ~quick ~out =
-  section "Restart: journal recovery warms the cache";
+let run_restart ~quick =
   let module J = Stochobs.Json in
   let entries = if quick then 12 else 32 in
   let num v = J.Num v in
@@ -344,20 +350,23 @@ let run_restart ~quick ~out =
       let cold_p50 = percentile (sorted_array cold_times) 0.5 in
       let warm_p50 = percentile (sorted_array warm_times) 0.5 in
       let warm_hit_rate = float_of_int warm_hits /. float_of_int entries in
-      Printf.printf
-        "%d solves (%d journalled): recovered %d (skipped %d) -> warm hit \
-         rate %.3f\n"
-        entries appended recovered skipped warm_hit_rate;
-      Printf.printf "latency: cold p50 %.3f ms, warm p50 %.4f ms\n"
-        (1e3 *. cold_p50) (1e3 *. warm_p50);
-      report_sanity
+      let text =
+        Printf.sprintf
+          "%d solves (%d journalled): recovered %d (skipped %d) -> warm hit \
+           rate %.3f\n\
+           latency: cold p50 %.3f ms, warm p50 %.4f ms\n"
+          entries appended recovered skipped warm_hit_rate (1e3 *. cold_p50)
+          (1e3 *. warm_p50)
+      in
+      let checks =
         [
           ("all cold solves succeed", cold_failures = 0);
           ("all warm solves succeed", warm_failures = 0);
           ("every record recovered", recovered = appended && skipped = 0);
           ("warm-restart hit rate >= 0.9", warm_hit_rate >= 0.9);
           ("warm p50 below cold p50", warm_p50 < cold_p50);
-        ];
+        ]
+      in
       let json =
         J.Obj
           [
@@ -372,172 +381,7 @@ let run_restart ~quick ~out =
             ("warm_p50_seconds", num warm_p50);
           ]
       in
-      write_artefact out json)
-
-(* ------------------------------------------------------------------ *)
-(* Spot savings: the revocation-aware two-tier sweep. The artefact     *)
-(* reports the full MTBF x price-ratio grid plus the seeded            *)
-(* Monte-Carlo validation; CI gates on the (ratio 0.3, MTBF 20h) cell  *)
-(* beating both the on-demand arm and the plain Eq. (1) cost, and on   *)
-(* every analytic/simulated pair agreeing within 2%.                   *)
-(* ------------------------------------------------------------------ *)
-
-let run_spot cfg ~quick ~out =
-  let module J = Stochobs.Json in
-  let t =
-    show "Spot savings: checkpointed spot vs on-demand reservations"
-      (fun () ->
-        if quick then
-          Experiments.Spot_savings.run ~cfg ~ratios:[ 0.3; 0.8 ] ~mc_reps:4000
-            ~assign_disc_n:300 ()
-        else Experiments.Spot_savings.run ~cfg ())
-      Experiments.Spot_savings.to_string Experiments.Spot_savings.sanity
-  in
-  let num v = J.Num v in
-  let cell_json c =
-    J.Obj
-      [
-        ("mtbf_hours", num c.Experiments.Spot_savings.mtbf);
-        ("price_ratio", num c.Experiments.Spot_savings.price_ratio);
-        ("on_demand", num c.Experiments.Spot_savings.on_demand);
-        ("naive_spot", num c.Experiments.Spot_savings.naive_spot);
-        ("checkpointed", num c.Experiments.Spot_savings.checkpointed);
-        ( "spot_slots",
-          num (float_of_int c.Experiments.Spot_savings.spot_slots) );
-        ("slots", num (float_of_int c.Experiments.Spot_savings.slots));
-        ("savings", num c.Experiments.Spot_savings.savings);
-      ]
-  in
-  let check_json k =
-    J.Obj
-      [
-        ("mtbf_hours", num k.Experiments.Spot_savings.check_mtbf);
-        ("price_ratio", num k.Experiments.Spot_savings.check_ratio);
-        ("analytic", num k.Experiments.Spot_savings.analytic);
-        ("simulated", num k.Experiments.Spot_savings.simulated);
-        ("sim_stderr", num k.Experiments.Spot_savings.sim_stderr);
-        ("rel_err", num k.Experiments.Spot_savings.rel_err);
-      ]
-  in
-  let gate =
-    match Experiments.Spot_savings.find_cell t ~mtbf:20.0 ~ratio:0.3 with
-    | Some c -> cell_json c
-    | None -> J.Null
-  in
-  let json =
-    J.Obj
-      [
-        ("workload", J.Str "spot-savings lognormal sweep");
-        ("distribution", J.Str t.Experiments.Spot_savings.dist_name);
-        ("od_plain", num t.Experiments.Spot_savings.od_plain);
-        ( "checkpoint_period",
-          num t.Experiments.Spot_savings.checkpoint_period );
-        ("checkpoint_cost", num t.Experiments.Spot_savings.checkpoint_cost);
-        ("restore_cost", num t.Experiments.Spot_savings.restore_cost);
-        ( "head_slots",
-          num (float_of_int (Array.length t.Experiments.Spot_savings.head)) );
-        ("gate", gate);
-        ( "cells",
-          J.Arr (List.map cell_json t.Experiments.Spot_savings.cells) );
-        ( "mc_checks",
-          J.Arr (List.map check_json t.Experiments.Spot_savings.mc_checks) );
-      ]
-  in
-  write_artefact out json
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the individual solvers.                *)
-(* ------------------------------------------------------------------ *)
-
-let perf_tests () =
-  let open Bechamel in
-  let open Stochastic_core in
-  let exp1 = Distributions.Exponential.default in
-  let lognormal = Distributions.Lognormal.default in
-  let beta = Distributions.Beta_dist.default in
-  let cost = Cost_model.reservation_only in
-  let rng = Randomness.Rng.create ~seed:7 () in
-  let samples =
-    Distributions.Dist.samples exp1 (Randomness.Rng.copy rng) 1000
-  in
-  Array.sort compare samples;
-  let mbm = Heuristics.mean_by_mean exp1 in
-  [
-    Test.make ~name:"recurrence/generate-exp"
-      (Staged.stage (fun () -> ignore (Recurrence.generate cost exp1 ~t1:0.75)));
-    Test.make ~name:"recurrence/generate-lognormal"
-      (Staged.stage (fun () ->
-           ignore (Recurrence.generate cost lognormal ~t1:30.0)));
-    Test.make ~name:"eval/monte-carlo-1000"
-      (Staged.stage (fun () ->
-           ignore
-             (Expected_cost.mean_cost_presampled cost ~sorted_samples:samples
-                mbm)));
-    Test.make ~name:"eval/exact-series"
-      (Staged.stage (fun () -> ignore (Expected_cost.exact cost exp1 mbm)));
-    Test.make ~name:"discretize/equal-time-1000"
-      (Staged.stage (fun () ->
-           ignore (Discretize.run Discretize.Equal_time ~n:1000 lognormal)));
-    Test.make ~name:"discretize/equal-prob-1000-beta"
-      (Staged.stage (fun () ->
-           ignore (Discretize.run Discretize.Equal_probability ~n:1000 beta)));
-    Test.make ~name:"dp/solve-1000"
-      (let disc = Discretize.run Discretize.Equal_time ~n:1000 lognormal in
-       Staged.stage (fun () -> ignore (Dp.solve cost disc)));
-    Test.make ~name:"dp/solve-10000"
-      (let disc = Discretize.run Discretize.Equal_probability ~n:10_000 lognormal in
-       Staged.stage (fun () -> ignore (Dp.solve cost disc)));
-    Test.make ~name:"brute-force/exp-m500-exact"
-      (Staged.stage (fun () ->
-           ignore
-             (Brute_force.search ~m:500 ~evaluator:Brute_force.Exact cost exp1)));
-    Test.make ~name:"fit/lognormal-mle-5000"
-      (let trace =
-         Platform.Traces.generate ~runs:5000 Platform.Traces.vbmqa
-           (Randomness.Rng.copy rng)
-       in
-       Staged.stage (fun () ->
-           ignore (Distributions.Fitting.lognormal_mle trace)));
-    Test.make ~name:"specfun/inverse-betai"
-      (Staged.stage (fun () ->
-           ignore (Numerics.Specfun.inverse_betai 2.0 2.0 0.3)));
-    Test.make ~name:"robust/dist-check-lognormal"
-      (Staged.stage (fun () -> ignore (Robust.Dist_check.run lognormal)));
-    Test.make ~name:"robust/solve-exp-quick"
-      (Staged.stage (fun () ->
-           ignore
-             (Robust.Solver.solve ~budget:Robust.Solver.quick_budget cost exp1)));
-  ]
-
-let run_perf () =
-  section "Solver micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let benchmark test =
-    let quota = Time.second 0.5 in
-    Benchmark.all
-      (Benchmark.cfg ~limit:2000 ~quota ~kde:(Some 1000) ())
-      [ Toolkit.Instance.monotonic_clock ]
-      test
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Toolkit.Instance.monotonic_clock results
-  in
-  let tests = Test.make_grouped ~name:"solvers" (perf_tests ()) in
-  let results = analyze (benchmark tests) in
-  let lines = ref [] in
-  Hashtbl.iter
-    (fun name result ->
-      let line =
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> Printf.sprintf "%-44s %12.1f ns/run" name est
-        | _ -> Printf.sprintf "%-44s (no estimate)" name
-      in
-      lines := line :: !lines)
-    results;
-  List.iter print_endline (List.sort compare !lines)
+      { Artefact.text; checks; json = Some json })
 
 (* ------------------------------------------------------------------ *)
 (* Baseline comparison: "--compare BASELINE.json" reruns the artefact  *)
@@ -547,8 +391,8 @@ let run_perf () =
 (*   {"value": V, "rel": R, "abs": A}                                  *)
 (* tolerating |fresh - V| <= max(R * |V|, A). Keys the baseline names  *)
 (* but the fresh artefact lacks are regressions; fresh-only keys are   *)
-(* ignored (adding a field to an artefact must not break CI). Exit 1   *)
-(* on any violation, so the artefact JSONs are CI-gateable.            *)
+(* ignored (adding a field to an artefact must not break CI). Returns  *)
+(* the number of violations; any makes the harness exit 1.             *)
 (* ------------------------------------------------------------------ *)
 
 let read_json_file path =
@@ -615,37 +459,95 @@ let compare_baseline ~baseline ~out =
             Printf.printf
               "[compare] REGRESSION %-24s missing from fresh artefact\n" key)
     entries;
-  if !violations > 0 then begin
+  if !violations > 0 then
     Printf.eprintf "bench --compare: %d key(s) regressed against %s\n"
-      !violations baseline;
-    exit 1
-  end
-  else Printf.printf "[compare] all %d key(s) within tolerance\n"
-         (List.length entries)
+      !violations baseline
+  else
+    Printf.printf "[compare] all %d key(s) within tolerance\n"
+      (List.length entries);
+  !violations
 
-(* Pull the "--out FILE" / "--compare FILE" pairs out of the
-   positional artefact names. *)
-let rec split_opt flag acc = function
-  | f :: path :: rest when f = flag -> (Some path, List.rev_append acc rest)
-  | a :: rest -> split_opt flag (a :: acc) rest
-  | [] -> (None, List.rev acc)
+let artefacts =
+  Artefact.all
+  @ [
+      {
+        Artefact.name = "obs";
+        title = "Observability overhead: instrumented vs no-op solve";
+        doc = "Instrumentation overhead of a traced, metered solve.";
+        run = (fun ~quick:_ ~log:_ -> run_obs ());
+      };
+      {
+        Artefact.name = "serve";
+        title = "Serve daemon: tenant fleet with near-identical LogNormal fits";
+        doc = "Cache hit rate and cached/cold latency of the serve daemon.";
+        run = (fun ~quick ~log:_ -> run_serve ~quick);
+      };
+      {
+        Artefact.name = "restart";
+        title = "Restart: journal recovery warms the cache";
+        doc = "Warm-restart hit rate after journal recovery.";
+        run = (fun ~quick ~log:_ -> run_restart ~quick);
+      };
+    ]
+
+let usage_error msg =
+  Printf.eprintf
+    "bench: %s\n\
+     usage: bench [quick] [all | ARTEFACT ...] [--out FILE [--compare \
+     BASELINE]]\n\
+     artefacts: %s\n"
+    msg
+    (String.concat " " (List.map (fun a -> a.Artefact.name) artefacts));
+  exit 2
+
+(* Positional words are "quick", "all" and artefact names; "--out FILE"
+   and "--compare FILE" may appear anywhere. *)
+let parse_args argv =
+  let is_flag a = a = "--out" || a = "--compare" in
+  let rec go ((quick, names, out, cmp) as acc) = function
+    | [] -> acc
+    | flag :: path :: rest when is_flag flag && not (is_flag path) ->
+        go
+          (if flag = "--out" then (quick, names, Some path, cmp)
+           else (quick, names, out, Some path))
+          rest
+    | flag :: _ when is_flag flag -> usage_error (flag ^ " needs a FILE")
+    | "quick" :: rest -> go (true, names, out, cmp) rest
+    | name :: rest
+      when name = "all"
+           || List.exists (fun a -> a.Artefact.name = name) artefacts ->
+        go (quick, name :: names, out, cmp) rest
+    | name :: _ -> usage_error (Printf.sprintf "unknown artefact %S" name)
+  in
+  go (false, [], None, None) argv
+
+(* Section, table and checks of one artefact; returns its failed
+   checks. *)
+let run_artefact ~quick ~out (a : Artefact.t) =
+  section a.title;
+  let o = a.run ~quick ~log:Stochobs.Log.null in
+  print_string o.Artefact.text;
+  report_sanity o.checks;
+  Option.iter (write_artefact out) o.json;
+  List.filter_map
+    (fun (label, ok) -> if ok then None else Some (a.name, label))
+    o.checks
 
 let () =
-  let argv = Array.to_list Sys.argv |> List.tl in
-  let out, argv = split_opt "--out" [] argv in
-  let compare_path, args = split_opt "--compare" [] argv in
-  (match (compare_path, out) with
-  | Some _, None ->
-      Printf.eprintf "bench --compare requires --out FILE\n";
-      exit 2
-  | _ -> ());
-  let quick = List.mem "quick" args in
+  let quick, names, out, compare_path =
+    parse_args (List.tl (Array.to_list Sys.argv))
+  in
+  if compare_path <> None && out = None then
+    usage_error "--compare requires --out FILE";
   let cfg =
     if quick then Experiments.Config.quick else Experiments.Config.paper
   in
-  let artefacts = List.filter (fun a -> a <> "quick") args in
-  let all = artefacts = [] || List.mem "all" artefacts in
-  let want name = all || List.mem name artefacts in
+  let all = names = [] || List.mem "all" names in
+  (* Table 4's check reads Table 2, so asking for table4 shows Table 2
+     as well (one shared run). *)
+  let want name =
+    all || List.mem name names || (name = "table2" && List.mem "table4" names)
+  in
   Printf.printf
     "Reservation Strategies for Stochastic Jobs - benchmark harness\n";
   Printf.printf "parameters: M=%d, N=%d, n=%d, eps=%g, seed=%d%s\n"
@@ -653,86 +555,20 @@ let () =
     cfg.Experiments.Config.disc_n cfg.Experiments.Config.eps
     cfg.Experiments.Config.seed
     (if quick then " (quick mode)" else "");
-  let open Experiments in
-  let artefact name title run to_string sanity =
-    if want name then ignore (show title run to_string sanity)
+  let failed =
+    List.concat_map
+      (fun a -> if want a.Artefact.name then run_artefact ~quick ~out a else [])
+      artefacts
   in
-  let t2 =
-    if want "table2" || want "table4" then
-      Some
-        (show "Table 2: normalized expected costs (ReservationOnly)"
-           (fun () -> Table2.run ~cfg ())
-           Table2.to_string Table2.sanity)
-    else None
+  let regressions =
+    match (compare_path, out) with
+    | Some baseline, Some out -> compare_baseline ~baseline ~out
+    | _ -> 0
   in
-  artefact "table3" "Table 3: best t1 vs quantile guesses (ReservationOnly)"
-    (fun () -> Table3.run ~cfg ())
-    Table3.to_string Table3.sanity;
-  (match t2 with
-  | Some t2 ->
-      let brute_force name =
-        (List.find (fun r -> r.Table2.dist_name = name) t2.Table2.rows)
-          .Table2.values.(0)
-      in
-      artefact "table4" "Table 4: discretization convergence (ReservationOnly)"
-        (fun () -> Table4.run ~cfg ())
-        Table4.to_string
-        (Table4.sanity ~brute_force)
-  | None -> ());
-  artefact "fig1" "Figure 1: neuroscience traces and LogNormal fits"
-    (fun () -> Fig1.run ~cfg ())
-    Fig1.to_string Fig1.sanity;
-  artefact "fig2" "Figure 2: HPC queue wait times and affine fit"
-    (fun () -> Fig2.run ~cfg ())
-    Fig2.to_string Fig2.sanity;
-  artefact "fig3" "Figure 3: normalized cost vs t1 (gaps = invalid sequences)"
-    (fun () -> Fig3.run ~cfg ())
-    Fig3.to_string Fig3.sanity;
-  artefact "fig4" "Figure 4: NeuroHPC scenario sweep"
-    (fun () -> Fig4.run ~cfg ())
-    Fig4.to_string Fig4.sanity;
-  artefact "s1" "Section 3.5: optimal first reservation for Exp(1)"
-    (fun () -> Exp_s1.run ~cfg ())
-    Exp_s1.to_string Exp_s1.sanity;
-  artefact "table2x"
-    "Extended Table 2: paper strategies + quantile ladders on the extended \
-     distributions"
-    (fun () -> Table2x.run ~cfg ())
-    Table2x.to_string Table2x.sanity;
-  artefact "ablation-bf"
-    "Ablation: brute-force resolution (M, N) and MC selection optimism"
-    (fun () -> Ablation_bf.run ~cfg ())
-    Ablation_bf.to_string Ablation_bf.sanity;
-  artefact "ablation-eps"
-    "Ablation: truncation quantile eps for the discretization schemes"
-    (fun () -> Ablation_eps.run ~cfg ())
-    Ablation_eps.to_string Ablation_eps.sanity;
-  artefact "robustness"
-    "Ablation: robustness to model misspecification (fit from k runs)"
-    (fun () -> Robustness.run ~cfg ())
-    Robustness.to_string Robustness.sanity;
-  artefact "robust-solve"
-    "Robust solver cascade: tier counts and validation overhead (Table 1)"
-    (fun () -> Robust_solve.run ~cfg ())
-    Robust_solve.to_string Robust_solve.sanity;
-  artefact "trace-vs-fit"
-    "Ablation: interpolating traces vs fitting a LogNormal (NeuroHPC)"
-    (fun () -> Trace_vs_fit.run ~cfg ())
-    Trace_vs_fit.to_string Trace_vs_fit.sanity;
-  artefact "cluster"
-    "Cluster scheduler: strategies under contention, wait-time loop closed"
-    (fun () ->
-      Cluster_contention.run ~cfg ~jobs:(if quick then 500 else 1500) ())
-    Cluster_contention.to_string Cluster_contention.sanity;
-  artefact "faults"
-    "Fault tolerance: failure rate x {restart, checkpoint} x strategy"
-    (fun () -> Fault_tolerance.run ~cfg ~jobs:(if quick then 120 else 240) ())
-    Fault_tolerance.to_string Fault_tolerance.sanity;
-  if want "spot" then run_spot cfg ~quick ~out;
-  if want "obs" then run_obs ~out;
-  if want "serve" then run_serve ~quick ~out;
-  if want "restart" then run_restart ~quick ~out;
-  if want "perf" then run_perf ();
-  match (compare_path, out) with
-  | Some baseline, Some out -> compare_baseline ~baseline ~out
-  | _ -> ()
+  if failed <> [] then begin
+    Printf.eprintf "bench: %d check(s) failed:\n" (List.length failed);
+    List.iter
+      (fun (name, label) -> Printf.eprintf "  %s: %s\n" name label)
+      failed
+  end;
+  if failed <> [] || regressions > 0 then exit 1

@@ -239,3 +239,49 @@ let sanity t =
     ("savings nonincreasing in price ratio at fixed MTBF", monotone_hostility);
     ("analytic within 2% of seeded simulation", mc_ok);
   ]
+
+let to_json t =
+  let module J = Stochobs.Json in
+  let num v = J.Num v in
+  let cell_json c =
+    J.Obj
+      [
+        ("mtbf_hours", num c.mtbf);
+        ("price_ratio", num c.price_ratio);
+        ("on_demand", num c.on_demand);
+        ("naive_spot", num c.naive_spot);
+        ("checkpointed", num c.checkpointed);
+        ("spot_slots", num (float_of_int c.spot_slots));
+        ("slots", num (float_of_int c.slots));
+        ("savings", num c.savings);
+      ]
+  in
+  let check_json k =
+    J.Obj
+      [
+        ("mtbf_hours", num k.check_mtbf);
+        ("price_ratio", num k.check_ratio);
+        ("analytic", num k.analytic);
+        ("simulated", num k.simulated);
+        ("sim_stderr", num k.sim_stderr);
+        ("rel_err", num k.rel_err);
+      ]
+  in
+  let gate =
+    match find_cell t ~mtbf:20.0 ~ratio:0.3 with
+    | Some c -> cell_json c
+    | None -> J.Null
+  in
+  J.Obj
+    [
+      ("workload", J.Str "spot-savings lognormal sweep");
+      ("distribution", J.Str t.dist_name);
+      ("od_plain", num t.od_plain);
+      ("checkpoint_period", num t.checkpoint_period);
+      ("checkpoint_cost", num t.checkpoint_cost);
+      ("restore_cost", num t.restore_cost);
+      ("head_slots", num (float_of_int (Array.length t.head)));
+      ("gate", gate);
+      ("cells", J.Arr (List.map cell_json t.cells));
+      ("mc_checks", J.Arr (List.map check_json t.mc_checks));
+    ]

@@ -80,3 +80,8 @@ val sanity : t -> (string * bool) list
     price ratio 0.3 / MTBF 20 h it also beats the plain Eq. (1)
     baseline strictly; hostile cells assign no more spot than generous
     ones; every Monte-Carlo validation is within 2%. *)
+
+val to_json : t -> Stochobs.Json.t
+(** The sweep as the [BENCH_spot.json] artefact: the parameters, the
+    gate cell (ratio 0.3, MTBF 20 h; [null] when the grid lacks it),
+    every cell and every Monte-Carlo check. *)

@@ -82,8 +82,7 @@ type t = {
   (* Rolling window of the most recent request latencies; the p99 over
      it is a live health gauge, cheaper and fresher than the lifetime
      histogram (which never forgets a cold start). *)
-  lat_window : float array;
-  mutable lat_seen : int;
+  latencies : Latency_window.t;
   (* Registry instruments, registered once at creation. *)
   m_hits : M.counter;
   m_misses : M.counter;
@@ -147,8 +146,7 @@ let create ?(obs = Trace.null) ?(clock = Stochobs.Clock.wall)
     start = clock ();
     pressure = 0;
     shedding = false;
-    lat_window = Array.make window_size 0.0;
-    lat_seen = 0;
+    latencies = Latency_window.create window_size;
     m_hits = M.counter metrics "service.cache.hits";
     m_misses = M.counter metrics "service.cache.misses";
     m_evictions = M.counter metrics "service.cache.evictions";
@@ -168,18 +166,10 @@ let create ?(obs = Trace.null) ?(clock = Stochobs.Clock.wall)
 
 (* Nearest-rank p99 over the filled part of the rolling window; 0.0
    before the first completed request. *)
-let window_p99 t =
-  let n = min t.lat_seen window_size in
-  if n = 0 then 0.0
-  else begin
-    let sorted = Array.sub t.lat_window 0 n in
-    Array.sort compare sorted;
-    Numerics.Stats.quantile_nearest_rank_sorted sorted 0.99
-  end
+let window_p99 t = Latency_window.p99 t.latencies
 
 let record_latency t elapsed =
-  t.lat_window.(t.lat_seen mod window_size) <- elapsed;
-  t.lat_seen <- t.lat_seen + 1;
+  Latency_window.add t.latencies elapsed;
   M.set t.m_p99_window (window_p99 t)
 
 let shedding t = t.shedding

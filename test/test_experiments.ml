@@ -92,6 +92,30 @@ let test_s1 () =
   let t = Experiments.Exp_s1.run ~cfg () in
   assert_sanity (Experiments.Exp_s1.sanity t)
 
+let test_registry_names_unique () =
+  let names =
+    List.map (fun a -> a.Experiments.Artefact.name) Experiments.Artefact.all
+  in
+  Alcotest.(check (list string))
+    "no name twice" (List.sort compare names)
+    (List.sort_uniq compare names)
+
+(* The registry runs an artefact exactly as its own module does. *)
+let test_registry_s1 () =
+  match
+    List.find_opt
+      (fun a -> a.Experiments.Artefact.name = "s1")
+      Experiments.Artefact.all
+  with
+  | None -> Alcotest.fail "s1 not registered"
+  | Some a ->
+      let o = a.Experiments.Artefact.run ~quick:true ~log:Stochobs.Log.null in
+      let t = Experiments.Exp_s1.run ~cfg () in
+      Alcotest.(check string)
+        "text" (Experiments.Exp_s1.to_string t) o.Experiments.Artefact.text;
+      Alcotest.(check (list (pair string bool)))
+        "checks" (Experiments.Exp_s1.sanity t) o.Experiments.Artefact.checks
+
 let () =
   Alcotest.run "experiments"
     [
@@ -106,5 +130,10 @@ let () =
           Alcotest.test_case "fig3" `Slow test_fig3;
           Alcotest.test_case "fig4" `Slow test_fig4;
           Alcotest.test_case "s1" `Quick test_s1;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "names unique" `Quick test_registry_names_unique;
+          Alcotest.test_case "s1 through the registry" `Quick test_registry_s1;
         ] );
     ]

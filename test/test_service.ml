@@ -586,6 +586,43 @@ let test_overload_state_and_p99 () =
   Alcotest.(check bool) "threshold tips the state to shedding" true
     (field "state" (overload_of r) = J.Str "shedding")
 
+(* The sorted shadow behind the p99 gauge returns, after every sample,
+   the very element the sort-a-copy reference returns. Streams outrun
+   every window size, so evictions are exercised; a small value pool
+   forces duplicates and zeros into the window. *)
+let prop_latency_window_matches_sort =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (oneofl [ 1; 2; 5; 128 ])
+        (list_size (int_range 129 400)
+           (frequency
+              [
+                (2, return 0.0);
+                (3, map (fun k -> 1e-4 *. float_of_int k) (int_range 0 8));
+                (3, float_bound_inclusive 0.05);
+              ])))
+  in
+  QCheck.Test.make ~count:300 ~name:"latency window p99 = sorted copy, bit for bit"
+    (QCheck.make
+       ~print:(fun (size, xs) ->
+         Printf.sprintf "size %d, %d samples" size (List.length xs))
+       gen)
+    (fun (size, xs) ->
+      let module W = Stochserve.Latency_window in
+      let w = W.create size in
+      let agree () =
+        Int64.equal
+          (Int64.bits_of_float (W.p99 w))
+          (Int64.bits_of_float (W.p99_by_sort w))
+      in
+      agree ()
+      && List.for_all
+           (fun x ->
+             W.add w x;
+             agree ())
+           xs)
+
 let () =
   Alcotest.run "service"
     [
@@ -635,5 +672,6 @@ let () =
           Alcotest.test_case "metrics exposition" `Quick test_metrics_request;
           Alcotest.test_case "overload state and p99 gauge" `Quick
             test_overload_state_and_p99;
+          QCheck_alcotest.to_alcotest prop_latency_window_matches_sort;
         ] );
     ]
